@@ -8,7 +8,9 @@ correctly.  Gradients are accumulated into the ``.grad`` of leaf tensors
 (parameters); intermediate gradients live only in a per-sweep scratch map.
 
 Scope is deliberately small: 2-D matrices only, no broadcasting beyond the
-explicit row-bias op, no higher-order derivatives.
+explicit row-bias op, no higher-order derivatives.  Products with one-hot
+membership matrices run as row gathers and scatter-adds over an integer
+index (take_rows, scatter_rows) instead of dense matmuls.
 """
 
 from __future__ import annotations
@@ -286,19 +288,62 @@ def relu(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    """Numerically stable logistic function, branching on the input sign."""
+    """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, both computed from e = exp(-|x|) <= 1."""
     a = as_tensor(a)
     x = a.values
-    vals = np.empty_like(x)
-    pos = x >= 0.0
-    vals[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    vals[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    vals = np.where(x >= 0.0, 1.0, e)
+    vals /= 1.0 + e
     out = Tensor(vals, requires_grad=a.requires_grad)
     _check_finite(out.values)
 
     def backward_fn(g, scratch):
         _push(a, g * vals * (1.0 - vals), scratch)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def take_rows(b, index: np.ndarray) -> Tensor:
+    """Rows of b picked by an integer vector: out[i] = b[index[i]].
+
+    This equals the product M @ b with the one-hot matrix M[i, index[i]] = 1,
+    without building M.  Backward scatter-adds the gradient rows back onto
+    the picked rows (M^T g).
+    """
+    b = as_tensor(b)
+    out = Tensor(b.values[index], requires_grad=b.requires_grad)
+
+    def backward_fn(g, scratch):
+        grad = np.zeros_like(b.values)
+        np.add.at(grad, index, g)
+        _push(b, grad, scratch)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def scatter_rows(b, index: np.ndarray, n: int, row_scale: Optional[np.ndarray] = None) -> Tensor:
+    """Sum the rows of b into n rows by an integer vector:
+    out[k] = sum of b[i] over i with index[i] == k, then multiplied by
+    row_scale[k] when given.
+
+    This is M^T @ b for the one-hot matrix M[i, index[i]] = 1, the adjoint
+    of take_rows; backward gathers the (scaled) gradient rows.
+    """
+    b = as_tensor(b)
+    vals = np.zeros((n, b.cols))
+    np.add.at(vals, index, b.values)
+    if row_scale is not None:
+        vals *= row_scale[:, None]
+    out = Tensor(vals, requires_grad=b.requires_grad)
+    _check_finite(out.values)
+
+    def backward_fn(g, scratch):
+        if row_scale is not None:
+            g = g * row_scale[:, None]
+        _push(b, g[index], scratch)
 
     _maybe_record(out, backward_fn)
     return out

@@ -152,7 +152,7 @@ def write_csv_bundle(graph: MedGraph, directory) -> None:
         w = csv.writer(f)
         w.writerow(["encounter_id", "patient_id"])
         for i, eid in enumerate(enc_ids):
-            w.writerow([eid, pat_ids[int(np.argmax(graph.a_ep[i]))]])
+            w.writerow([eid, pat_ids[graph.a_ep[i]]])
 
     with open(directory / "lab_results.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)

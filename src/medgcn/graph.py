@@ -1,9 +1,12 @@
 """Typed medical entity graph: registries, adjacency matrices, splits.
 
 Four node types (encounters, patients, labs, medications) and three
-inter-type relations stored as dense matrices indexed by ordinals:
+inter-type relations indexed by ordinals:
 
-  a_ep  (N_E x N_P)  one-hot encounter-to-patient membership
+  a_ep  (N_E,)       int64 patient ordinal of each encounter; every
+                     encounter has exactly one patient, so this index is
+                     the one-hot N_E x N_P membership matrix without its
+                     zeros, and that matrix is never built
   a_el  (N_E x N_L)  observed lab values normalized into [0, 1]
   m_el  (N_E x N_L)  observation mask; 1 marks a real measurement,
                      so an observed zero stays distinguishable from missing
@@ -15,6 +18,11 @@ split is chosen, keeping held-out values out of the statistics.
 
 Within-type adjacency is an implicit identity: it is never stored and the
 model realizes it as a self-term.
+
+Graph files (save_graph / load_graph) start with the magic line MEDGRAPH2
+and a one-line JSON header, followed by a_ep as little-endian int64 and
+the four matrices as little-endian float64.  Files written in the older
+MEDGRAPH1 format, which stored a dense a_ep, are rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +37,8 @@ import numpy as np
 
 from .errors import GraphLookupError, IntegrityError, ParameterError, SplitError
 
-MAGIC = b"MEDGRAPH1"
+MAGIC = b"MEDGRAPH2"
+_OLD_MAGIC = b"MEDGRAPH1"
 
 # Boundary arithmetic n * cumulative_ratio can land a hair under an integer
 # in floating point; nudge before flooring.
@@ -130,7 +139,7 @@ class MedGraph:
         n_e, n_p = self.n_encounters, self.n_patients
         n_l, n_m = self.n_labs, self.n_medications
         shapes = {
-            "a_ep": (self.a_ep, (n_e, n_p)),
+            "a_ep": (self.a_ep, (n_e,)),
             "a_el": (self.a_el, (n_e, n_l)),
             "m_el": (self.m_el, (n_e, n_l)),
             "a_em": (self.a_em, (n_e, n_m)),
@@ -141,10 +150,10 @@ class MedGraph:
                 raise IntegrityError(f"{name} shape {mat.shape} != registry counts {want}")
         if self.lab_norm.shape != (n_l, 2):
             raise IntegrityError(f"lab_norm shape {self.lab_norm.shape} != ({n_l}, 2)")
-        if n_e:
-            row_sums = self.a_ep.sum(axis=1)
-            if not np.all(row_sums == 1.0) or not np.isin(self.a_ep, (0.0, 1.0)).all():
-                raise IntegrityError("a_ep must be one-hot: exactly one patient per encounter")
+        if self.a_ep.dtype != np.int64:
+            raise IntegrityError(f"a_ep must hold int64 patient ordinals, got dtype {self.a_ep.dtype}")
+        if n_e and (self.a_ep.min() < 0 or self.a_ep.max() >= n_p):
+            raise IntegrityError(f"a_ep must hold one patient ordinal in 0..{n_p - 1} per encounter")
         for name, mat in (("m_el", self.m_el), ("a_em", self.a_em)):
             if not np.isin(mat, (0.0, 1.0)).all():
                 raise IntegrityError(f"{name} must be binary")
@@ -198,24 +207,23 @@ def normalize_lab(value: float, lab: int, lab_norm: np.ndarray) -> float:
     return float(np.clip((value - lo) / (hi - lo), 0.0, 1.0))
 
 
-def _fit_ranges(raw_el: np.ndarray, visible: np.ndarray, n_labs: int) -> np.ndarray:
+def _fit_ranges(raw_el: np.ndarray, visible: np.ndarray) -> np.ndarray:
     """Per-lab (min, max) over entries where visible == 1; unobserved labs
     get the degenerate (0, 0) range."""
-    lab_norm = np.zeros((n_labs, 2))
-    for j in range(n_labs):
-        vals = raw_el[visible[:, j] == 1.0, j]
-        if vals.size:
-            lab_norm[j] = (vals.min(), vals.max())
-    return lab_norm
+    seen = visible == 1.0
+    lo = np.min(np.where(seen, raw_el, np.inf), axis=0, initial=np.inf)
+    hi = np.max(np.where(seen, raw_el, -np.inf), axis=0, initial=-np.inf)
+    observed = seen.any(axis=0)
+    return np.column_stack([np.where(observed, lo, 0.0), np.where(observed, hi, 0.0)])
 
 
 def _normalize_matrix(raw_el: np.ndarray, m_el: np.ndarray, lab_norm: np.ndarray) -> np.ndarray:
-    a_el = np.zeros_like(raw_el)
-    for j in range(lab_norm.shape[0]):
-        rows = m_el[:, j] == 1.0
-        if rows.any():
-            a_el[rows, j] = [normalize_lab(v, j, lab_norm) for v in raw_el[rows, j]]
-    return a_el
+    """normalize_lab applied to every observed entry at once; the same
+    float64 operations per entry, so the results are bit-identical."""
+    lo, hi = lab_norm[:, 0], lab_norm[:, 1]
+    degenerate = hi == lo
+    scaled = np.clip((raw_el - lo) / np.where(degenerate, 1.0, hi - lo), 0.0, 1.0)
+    return np.where(m_el == 1.0, np.where(degenerate, 0.5, scaled), 0.0)
 
 
 def build_graph(
@@ -240,10 +248,8 @@ def build_graph(
             raise IntegrityError(f"encounter {eid!r} references unknown patient {pid!r}")
         registry.add(NodeType.ENCOUNTER, eid)
 
-    n_e, n_p = registry.count(NodeType.ENCOUNTER), registry.count(NodeType.PATIENT)
-    a_ep = np.zeros((n_e, n_p))
-    for eid, pid in encounters:
-        a_ep[registry.ordinal(NodeType.ENCOUNTER, eid), registry.ordinal(NodeType.PATIENT, pid)] = 1.0
+    n_e = registry.count(NodeType.ENCOUNTER)
+    a_ep = np.array([registry.ordinal(NodeType.PATIENT, pid) for _, pid in encounters], dtype=np.int64)
 
     seen_lab_pairs: set[tuple[int, int]] = set()
     lab_triples: list[tuple[int, int, float]] = []
@@ -279,7 +285,7 @@ def build_graph(
     for i, j in med_pairs:
         a_em[i, j] = 1.0
 
-    lab_norm = _fit_ranges(raw_el, m_el, n_l)
+    lab_norm = _fit_ranges(raw_el, m_el)
     a_el = _normalize_matrix(raw_el, m_el, lab_norm)
 
     graph = MedGraph(registry, a_ep, a_el, m_el, a_em, raw_el, lab_norm)
@@ -294,13 +300,13 @@ def assemble_graph(
     m_el: np.ndarray,
     a_em: np.ndarray,
 ) -> MedGraph:
-    """Build a MedGraph from prebuilt matrices, fitting lab ranges from the
+    """Build a MedGraph from each encounter's patient ordinal (a_ep) and
+    prebuilt lab and medication matrices, fitting lab ranges from the
     observed entries exactly as build_graph does."""
-    n_l = registry.count(NodeType.LAB)
     raw_el = np.where(m_el == 1.0, raw_el, 0.0)
-    lab_norm = _fit_ranges(raw_el, m_el, n_l)
+    lab_norm = _fit_ranges(raw_el, m_el)
     a_el = _normalize_matrix(raw_el, m_el, lab_norm)
-    graph = MedGraph(registry, np.asarray(a_ep, dtype=np.float64), a_el, np.asarray(m_el, dtype=np.float64), np.asarray(a_em, dtype=np.float64), raw_el, lab_norm)
+    graph = MedGraph(registry, np.asarray(a_ep, dtype=np.int64), a_el, np.asarray(m_el, dtype=np.float64), np.asarray(a_em, dtype=np.float64), raw_el, lab_norm)
     graph.validate()
     return graph
 
@@ -410,7 +416,7 @@ def refit_lab_normalization(graph: MedGraph, plan: Optional[SplitPlan] = None) -
             visible[plan.train[:, 0], plan.train[:, 1]] = 1.0
     else:
         visible = graph.m_el
-    out.lab_norm = _fit_ranges(graph.raw_el, visible, graph.n_labs)
+    out.lab_norm = _fit_ranges(graph.raw_el, visible)
     out.a_el = _normalize_matrix(graph.raw_el, graph.m_el, out.lab_norm)
     out.validate()
     return out
@@ -447,13 +453,14 @@ def graph_stats(graph: MedGraph) -> GraphStats:
     """Dimensions, edge counts, and sparsity per stored relation.
 
     Lab edges are counted from the mask (an observed zero is still an
-    edge), matching how the lab matrix is populated.
+    edge), matching how the lab matrix is populated.  a_ep has one edge
+    per encounter.
     """
     n_e = graph.n_encounters
     stats = GraphStats(
         counts={t.value: graph.registry.count(t) for t in NODE_TYPES},
     )
-    ep_edges = int(np.count_nonzero(graph.a_ep))
+    ep_edges = n_e
     el_edges = int(graph.m_el.sum())
     em_edges = int(np.count_nonzero(graph.a_em))
     stats.matrices.append(
@@ -499,12 +506,11 @@ def add_encounter(
     def grow(mat: np.ndarray) -> np.ndarray:
         return np.vstack([mat, np.zeros((1, mat.shape[1]))])
 
-    graph.a_ep = grow(graph.a_ep)
+    graph.a_ep = np.append(graph.a_ep, np.int64(p))
     graph.a_el = grow(graph.a_el)
     graph.m_el = grow(graph.m_el)
     graph.a_em = grow(graph.a_em)
     graph.raw_el = grow(graph.raw_el)
-    graph.a_ep[ordinal, p] = 1.0
     for j, value in resolved:
         graph.raw_el[ordinal, j] = value
         graph.m_el[ordinal, j] = 1.0
@@ -512,33 +518,39 @@ def add_encounter(
     return ordinal
 
 
-_MATRIX_ORDER = ("a_ep", "a_el", "m_el", "a_em", "raw_el")
+# Stored arrays in file order with their on-disk dtypes.
+_ARRAY_DTYPES = {"a_ep": "<i8", "a_el": "<f8", "m_el": "<f8", "a_em": "<f8", "raw_el": "<f8"}
 
 
 def save_graph(graph: MedGraph, path) -> None:
-    """Single-file format: magic line, one-line JSON header, then the five
-    matrices as row-major little-endian float64 in fixed order."""
+    """Single-file format: magic line, one-line JSON header, then a_ep as
+    little-endian int64 and the four matrices as row-major little-endian
+    float64, in fixed order."""
     graph.validate()
     header = {
         "counts": {t.value: graph.registry.count(t) for t in NODE_TYPES},
         "ids": {t.value: list(graph.registry.ids(t)) for t in NODE_TYPES},
         "lab_norm": graph.lab_norm.tolist(),
-        "matrices": [
-            {"name": name, "rows": getattr(graph, name).shape[0], "cols": getattr(graph, name).shape[1]}
-            for name in _MATRIX_ORDER
+        "arrays": [
+            {"name": name, "shape": list(getattr(graph, name).shape), "dtype": dtype}
+            for name, dtype in _ARRAY_DTYPES.items()
         ],
-        "dtype": "<f8",
     }
     with open(path, "wb") as f:
         f.write(MAGIC + b"\n")
         f.write(json.dumps(header, separators=(",", ":")).encode("utf-8") + b"\n")
-        for name in _MATRIX_ORDER:
-            f.write(np.ascontiguousarray(getattr(graph, name), dtype="<f8").tobytes())
+        for name, dtype in _ARRAY_DTYPES.items():
+            f.write(np.ascontiguousarray(getattr(graph, name), dtype=dtype).tobytes())
 
 
 def load_graph(path) -> MedGraph:
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
+        if magic == _OLD_MAGIC:
+            raise IntegrityError(
+                f"{path} is in the old {_OLD_MAGIC.decode()} graph format; "
+                "rerun `medgcn build-graph` to rewrite it"
+            )
         if magic != MAGIC:
             raise IntegrityError(f"not a graph file: bad magic {magic[:16]!r}")
         try:
@@ -550,12 +562,16 @@ def load_graph(path) -> MedGraph:
             for external_id in header["ids"][t.value]:
                 registry.add(t, external_id)
         mats: dict[str, np.ndarray] = {}
-        for entry in header["matrices"]:
-            rows, cols = entry["rows"], entry["cols"]
-            raw = f.read(rows * cols * 8)
-            if len(raw) != rows * cols * 8:
-                raise IntegrityError(f"graph file truncated in matrix {entry['name']}")
-            mats[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        for entry in header["arrays"]:
+            name, shape = entry["name"], tuple(entry["shape"])
+            if _ARRAY_DTYPES.get(name) != entry["dtype"]:
+                raise IntegrityError(f"graph file array {name!r} has unexpected dtype {entry['dtype']!r}")
+            dtype = np.dtype(entry["dtype"])
+            n_bytes = int(np.prod(shape)) * dtype.itemsize
+            raw = f.read(n_bytes)
+            if len(raw) != n_bytes:
+                raise IntegrityError(f"graph file truncated in array {name}")
+            mats[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type)
     lab_norm = np.array(header["lab_norm"], dtype=np.float64).reshape(registry.count(NodeType.LAB), 2)
     graph = MedGraph(
         registry,

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import MetricError, ParameterError, ShapeError
 
@@ -29,6 +28,21 @@ def _check_pair(scores: np.ndarray, relevance: np.ndarray) -> tuple[np.ndarray, 
     if scores.ndim != 2 or scores.shape != relevance.shape:
         raise ShapeError(f"scores {scores.shape} and relevance {relevance.shape} must be equal 2-D shapes")
     return scores, relevance
+
+
+def _average_ranks_desc(row: np.ndarray) -> np.ndarray:
+    """1-based ranks by descending score; a tie group occupying sorted
+    positions start..end (0-based) shares the rank (start + end + 2) / 2."""
+    order = np.argsort(-row, kind="stable")
+    ordered = row[order]
+    first = np.empty(row.size, dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    ends = np.append(starts[1:], row.size) - 1
+    ranks = np.empty(row.size)
+    ranks[order] = ((starts + ends + 2) / 2.0)[np.cumsum(first) - 1]
+    return ranks
 
 
 def lrap(scores, relevance) -> float:
@@ -45,9 +59,8 @@ def lrap(scores, relevance) -> float:
         rel = np.flatnonzero(relevance[i] == 1)
         if rel.size == 0:
             continue
-        ranks = rankdata(-scores[i], method="average")
-        rel_ranks = ranks[rel]
-        contribs = np.array([np.sum(rel_ranks <= r) for r in rel_ranks]) / rel_ranks
+        rel_ranks = _average_ranks_desc(scores[i])[rel]
+        contribs = (rel_ranks[None, :] <= rel_ranks[:, None]).sum(axis=1) / rel_ranks
         total += float(np.sum(contribs)) / rel.size
         n_rows += 1
     if n_rows == 0:

@@ -23,7 +23,7 @@ medication probabilities (N_E x N_M) and normalized lab values
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -75,18 +75,50 @@ class Hyper:
         return cls(**d)
 
 
+@dataclass(frozen=True, eq=False)
+class Membership:
+    """A 0/1 adjacency in which every member row has exactly one group,
+    kept as its index: the matrix M with M[i, index[i]] = 1, of shape
+    (len(index), n_groups), which is never built.
+
+    With transposed set this stands for M^T (groups aggregating their
+    members), each row of which is multiplied by row_scale when given.
+    """
+
+    index: np.ndarray
+    n_groups: int
+    transposed: bool = False
+    row_scale: Optional[np.ndarray] = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.index.shape[0]
+        return (self.n_groups, n) if self.transposed else (n, self.n_groups)
+
+    def validate(self) -> None:
+        if self.index.ndim != 1 or self.index.dtype.kind not in "iu":
+            raise ShapeError(f"membership index must be a 1-D integer vector, got {self.index.dtype} {self.index.shape}")
+        if self.index.size and (self.index.min() < 0 or self.index.max() >= self.n_groups):
+            raise ShapeError(f"membership index out of range 0..{self.n_groups - 1}")
+
+
+# A dense (n_dest, n_src) matrix or a one-hot membership kept as an index.
+Adjacency = Union[np.ndarray, Membership]
+
+
 @dataclass
 class TypedGraphView:
     """Adjacency structure the layer math runs on, decoupled from MedGraph
     so single-type graphs exercise the same code path.
 
-    adjacency maps (destination type, source type) to a dense matrix of
-    shape (n_dest, n_src); self-pairs are implicit and never stored.
+    adjacency maps (destination type, source type) to a dense matrix or a
+    Membership, of shape (n_dest, n_src); self-pairs are implicit and never
+    stored.
     """
 
     types: tuple[str, ...]
     counts: dict[str, int]
-    adjacency: dict[tuple[str, str], np.ndarray]
+    adjacency: dict[tuple[str, str], Adjacency]
 
     def validate(self) -> None:
         for (dst, src), mat in self.adjacency.items():
@@ -95,21 +127,40 @@ class TypedGraphView:
             want = (self.counts[dst], self.counts[src])
             if mat.shape != want:
                 raise ShapeError(f"adjacency ({dst}, {src}) shape {mat.shape} != {want}")
+            if isinstance(mat, Membership):
+                mat.validate()
 
 
-def _row_normalize(mat: np.ndarray) -> np.ndarray:
+def _row_normalize(mat: Adjacency) -> Adjacency:
+    """Divide each row by its sum; all-zero rows stay zero.  A membership
+    M already has unit row sums, and a row of M^T sums to its group size."""
+    if isinstance(mat, Membership):
+        if not mat.transposed:
+            return mat
+        sums = np.bincount(mat.index, minlength=mat.n_groups).astype(np.float64)
+        scale = np.divide(1.0, sums, out=np.zeros_like(sums), where=sums != 0.0)
+        return Membership(mat.index, mat.n_groups, True, scale)
     sums = mat.sum(axis=1, keepdims=True)
     out = np.divide(mat, sums, out=np.zeros_like(mat), where=sums != 0.0)
     return out
 
 
+def _propagate(adj: Adjacency, h: Tensor) -> Tensor:
+    """The product adj @ h on the tape."""
+    if not isinstance(adj, Membership):
+        return ad.matmul(Tensor(adj), h)
+    if adj.transposed:
+        return ad.scatter_rows(h, adj.index, adj.n_groups, adj.row_scale)
+    return ad.take_rows(h, adj.index)
+
+
 def make_view(graph: MedGraph, normalize_adjacency: bool = False) -> TypedGraphView:
     e, p, l, m = TYPE_ORDER
-    mats = {
-        (e, p): graph.a_ep,
+    mats: dict[tuple[str, str], Adjacency] = {
+        (e, p): Membership(graph.a_ep, graph.n_patients),
         (e, l): graph.a_el,
         (e, m): graph.a_em,
-        (p, e): graph.a_ep.T,
+        (p, e): Membership(graph.a_ep, graph.n_patients, transposed=True),
         (l, e): graph.a_el.T,
         (m, e): graph.a_em.T,
     }
@@ -277,7 +328,7 @@ def hetero_layer_forward(
         z = projected[dst]
         for (d, src), adj in view.adjacency.items():
             if d == dst:
-                z = ad.add(z, ad.matmul(Tensor(adj), projected[src]))
+                z = ad.add(z, _propagate(adj, projected[src]))
         out[dst] = phi(z)
     return out
 
@@ -447,5 +498,4 @@ def verify_model_graph(model: MedGcnModel, graph: MedGraph) -> None:
 
 def clone_model(model: MedGcnModel) -> MedGcnModel:
     """Deep copy through the checkpoint image (shares nothing)."""
-    out = model_from_bytes(model_to_bytes(model))
-    return replace(out)
+    return model_from_bytes(model_to_bytes(model))

@@ -114,10 +114,7 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCohort:
     for j in range(spec.n_meds):
         registry.add(NodeType.MEDICATION, f"M{j}")
 
-    a_ep = np.zeros((spec.n_encounters, spec.n_patients))
-    a_ep[np.arange(spec.n_encounters), assignment] = 1.0
-
-    graph = assemble_graph(registry, a_ep, observed, m_el, a_em)
+    graph = assemble_graph(registry, assignment, observed, m_el, a_em)
     return SyntheticCohort(
         spec=spec,
         graph=graph,

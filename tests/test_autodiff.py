@@ -21,8 +21,10 @@ from medgcn.autodiff import (
     mul,
     relu,
     scale,
+    scatter_rows,
     sigmoid,
     sub,
+    take_rows,
     tensor_sum,
 )
 from medgcn.errors import NumericGuardError, ParameterError, ShapeError, StateError
@@ -103,6 +105,40 @@ class TestOpGradients:
     def test_sigmoid(self):
         a = self.leaf(3, 4)
         check_grads(lambda: tensor_sum(sigmoid(a)), [a])
+
+    def test_sigmoid_matches_masked_formula(self):
+        # The former implementation, which branched through boolean masks.
+        x = np.concatenate([[0.0, -0.0, 40.0, -40.0, 800.0, -800.0], 20.0 * self.rng.standard_normal(200)])
+        x = x.reshape(2, 103)
+        want = np.empty_like(x)
+        pos = x >= 0.0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        want[~pos] = ex / (1.0 + ex)
+        assert sigmoid(Tensor(x)).values.tobytes() == want.tobytes()
+
+    def test_take_rows(self):
+        b = self.leaf(3, 2)
+        index = np.array([2, 0, 2, 1, 2])
+        check_grads(lambda: tensor_sum(mul(take_rows(b, index), take_rows(b, index))), [b])
+
+    def test_scatter_rows(self):
+        b = self.leaf(5, 2)
+        index = np.array([1, 0, 1, 3, 1])  # group 2 has no member
+        row_scale = np.array([1.0, 1.0 / 3.0, 0.0, 1.0])
+
+        def build():
+            return tensor_sum(mul(scatter_rows(b, index, 4), scatter_rows(b, index, 4, row_scale)))
+
+        check_grads(build, [b])
+
+    def test_gather_and_scatter_equal_one_hot_products(self):
+        b = self.rng.standard_normal((3, 4))
+        index = np.array([2, 0, 2, 1, 2])
+        one_hot = np.eye(3)[index]
+        np.testing.assert_array_equal(take_rows(b, index).values, one_hot @ b)
+        c = self.rng.standard_normal((5, 4))
+        np.testing.assert_allclose(scatter_rows(c, index, 3).values, one_hot.T @ c, rtol=1e-15, atol=1e-15)
 
     def test_log(self):
         a = Tensor(self.rng.uniform(0.1, 2.0, (3, 4)), requires_grad=True)

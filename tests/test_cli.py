@@ -1,10 +1,15 @@
 """End-to-end command-line tests; commands run in process via main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import medgcn
 from medgcn.cli import main, parse_split_flag
 from medgcn.errors import ParameterError
 
@@ -52,6 +57,15 @@ def checkpoint(cohort_dir, tmp_path_factory):
     )
     assert code == 0
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy costs the cli most of its start-up time and memory.
+    code = "import sys, medgcn.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(medgcn.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSplitFlag:

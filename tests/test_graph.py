@@ -10,6 +10,8 @@ from medgcn.graph import (
     MedGraph,
     NodeType,
     SplitPlan,
+    _fit_ranges,
+    _normalize_matrix,
     add_encounter,
     apply_split_masking,
     build_graph,
@@ -31,7 +33,7 @@ class TestBuildGraph:
         assert toy_graph.n_patients == 2
         assert toy_graph.n_labs == 3
         assert toy_graph.n_medications == 3
-        assert toy_graph.a_ep.shape == (4, 2)
+        assert toy_graph.a_ep.shape == (4,)
         assert toy_graph.a_el.shape == (4, 3)
         assert toy_graph.a_em.shape == (4, 3)
 
@@ -44,7 +46,7 @@ class TestBuildGraph:
 
     def test_one_hot_membership(self, toy_graph):
         np.testing.assert_array_equal(
-            toy_graph.a_ep, [[1, 0], [1, 0], [0, 1], [0, 1]]
+            np.eye(toy_graph.n_patients)[toy_graph.a_ep], [[1, 0], [1, 0], [0, 1], [0, 1]]
         )
 
     def test_observed_zero_keeps_mask(self, toy_graph):
@@ -80,7 +82,7 @@ class TestBuildGraph:
 
     def test_minimal_graph(self):
         g = build_graph(["P1"], [("E1", "P1")], [], [])
-        np.testing.assert_array_equal(g.a_ep, [[1.0]])
+        np.testing.assert_array_equal(np.eye(g.n_patients)[g.a_ep], [[1.0]])
 
     def test_unknown_patient_rejected(self):
         with pytest.raises(IntegrityError):
@@ -105,8 +107,13 @@ class TestBuildGraph:
             build_graph(["P1"], [("E1", "P1")], [], [("E1", "M1"), ("E1", "M1")])
 
     def test_validate_catches_corrupted_membership(self, toy_graph):
-        toy_graph.a_ep[0] = [1, 1]
+        toy_graph.a_ep[0] = 2  # no third patient
         with pytest.raises(IntegrityError):
+            toy_graph.validate()
+
+    def test_validate_wants_integer_patient_index(self, toy_graph):
+        toy_graph.a_ep = toy_graph.a_ep.astype(np.float64)
+        with pytest.raises(IntegrityError, match="int64"):
             toy_graph.validate()
 
 
@@ -132,6 +139,30 @@ class TestNormalizeLab:
         values = np.linspace(0.0, 250.0, 40)
         outs = [normalize_lab(v, 0, self.NORM) for v in values]
         assert all(b >= a for a, b in zip(outs, outs[1:]))
+
+    def test_matrix_form_equals_per_value_form(self):
+        # Ranges fit on half of the observations, so the other half holds
+        # out-of-range values; lab 0 is never visible (degenerate 0..0),
+        # lab 1 once (degenerate single value), lab 2 always equal.
+        rng = np.random.default_rng(4)
+        m_el = (rng.random((60, 7)) < 0.6).astype(np.float64)
+        raw_el = rng.normal(50.0, 30.0, (60, 7)) * m_el
+        raw_el[:, 2] = 7.5 * m_el[:, 2]
+        visible = m_el * (rng.random((60, 7)) < 0.5)
+        visible[:, 0] = 0.0
+        visible[:, 1] = 0.0
+        visible[np.flatnonzero(m_el[:, 1])[0], 1] = 1.0
+        lab_norm = _fit_ranges(raw_el, visible)
+        for j in range(7):
+            vals = raw_el[visible[:, j] == 1.0, j]
+            want = (vals.min(), vals.max()) if vals.size else (0.0, 0.0)
+            np.testing.assert_array_equal(lab_norm[j], want)
+        want = np.zeros_like(raw_el)
+        for i, j in np.argwhere(m_el == 1.0):
+            want[i, j] = normalize_lab(raw_el[i, j], j, lab_norm)
+        got = _normalize_matrix(raw_el, m_el, lab_norm)
+        assert got.tobytes() == want.tobytes()
+        assert {0.0, 0.5, 1.0} <= set(got.ravel())
 
 
 def big_graph(n_patients=90, n_encounters=1260):
@@ -306,7 +337,7 @@ class TestAddEncounter:
         ordinal = add_encounter(toy_graph, "P1", [("L1", 10.0), ("L3", 0.2)], "E5")
         assert ordinal == 4
         assert toy_graph.n_encounters == 5
-        np.testing.assert_array_equal(toy_graph.a_ep[4], [1.0, 0.0])
+        np.testing.assert_array_equal(np.eye(toy_graph.n_patients)[toy_graph.a_ep[4]], [1.0, 0.0])
         assert toy_graph.a_el[4, 0] == 1.0  # at the training max
         assert toy_graph.a_el[4, 2] == 0.0  # 0.2 clamps below the 0.4 min
         assert toy_graph.m_el[4].sum() == 2
@@ -342,6 +373,17 @@ class TestAddEncounter:
         with pytest.raises(IntegrityError):
             add_encounter(toy_graph, "P1", [], "E1")
 
+    def test_patient_index_stays_a_vector(self, toy_graph, tmp_path):
+        assert toy_graph.a_ep.shape == (4,) and toy_graph.a_ep.dtype == np.int64
+        for patient in ("P2", "P1", "P2"):
+            add_encounter(toy_graph, patient, [("L1", 1.0)])
+        assert toy_graph.a_ep.shape == (7,) and toy_graph.a_ep.dtype == np.int64
+        np.testing.assert_array_equal(toy_graph.a_ep, [0, 0, 1, 1, 1, 0, 1])
+        save_graph(toy_graph, tmp_path / "g.medgraph")
+        loaded = load_graph(tmp_path / "g.medgraph")
+        assert loaded.a_ep.shape == (7,) and loaded.a_ep.dtype == np.int64
+        np.testing.assert_array_equal(loaded.a_ep, toy_graph.a_ep)
+
     def test_fingerprint_changes(self, toy_graph):
         before = toy_graph.fingerprint()
         add_encounter(toy_graph, "P1", [])
@@ -371,6 +413,12 @@ class TestSerialization:
         path = tmp_path / "junk"
         path.write_bytes(b"NOTAGRAPH\n{}\n")
         with pytest.raises(IntegrityError):
+            load_graph(path)
+
+    def test_old_format_names_the_fix(self, tmp_path):
+        path = tmp_path / "old.medgraph"
+        path.write_bytes(b"MEDGRAPH1\n{}\n")
+        with pytest.raises(IntegrityError, match="MEDGRAPH1.*rerun `medgcn build-graph`"):
             load_graph(path)
 
     def test_truncated_file(self, toy_graph, tmp_path):

@@ -11,6 +11,7 @@ from medgcn.errors import CheckpointError, GraphLookupError, ParameterError, Sha
 from medgcn.graph import add_encounter, build_graph
 from medgcn.model import (
     Hyper,
+    Membership,
     TypedGraphView,
     forward,
     hetero_layer_forward,
@@ -29,6 +30,16 @@ from conftest import make_toy_graph
 from oracles import layer_oracle
 
 SMALL = Hyper(hidden_dim=6, dropout=0.0)
+
+
+def dense(adj):
+    """The matrix a view adjacency stands for."""
+    if not isinstance(adj, Membership):
+        return adj
+    m = np.eye(adj.n_groups)[adj.index]
+    if not adj.transposed:
+        return m
+    return m.T if adj.row_scale is None else adj.row_scale[:, None] * m.T
 
 
 class TestInitModel:
@@ -102,7 +113,7 @@ class TestLayerForward:
         )
         w = {t: model.layers[0][t].values for t in model.layers[0]}
         want = layer_oracle(
-            toy_graph.a_ep, toy_graph.a_el, toy_graph.a_em,
+            np.eye(toy_graph.n_patients)[toy_graph.a_ep], toy_graph.a_el, toy_graph.a_em,
             w["encounter"], w["patient"], w["lab"], w["medication"],
         )
         for t in want:
@@ -135,7 +146,7 @@ class TestLayerForward:
         w = {t: model.layers[0][t].values for t in feats}
         z_e = (
             feats["encounter"] @ w["encounter"]
-            + toy_graph.a_ep @ feats["patient"] @ w["patient"]
+            + np.eye(toy_graph.n_patients)[toy_graph.a_ep] @ feats["patient"] @ w["patient"]
             + toy_graph.a_el @ feats["lab"] @ w["lab"]
             + toy_graph.a_em @ feats["medication"] @ w["medication"]
         )
@@ -151,8 +162,25 @@ class TestLayerForward:
     def test_normalized_adjacency(self, toy_graph):
         view = make_view(toy_graph, normalize_adjacency=True)
         for (dst, src), mat in view.adjacency.items():
-            sums = mat.sum(axis=1)
+            sums = dense(mat).sum(axis=1)
             assert np.all((np.abs(sums - 1.0) < 1e-12) | (sums == 0.0))
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_membership_matches_dense_product(self, normalize):
+        # Patient P3 has no encounter, so its normalized row stays zero.
+        graph = build_graph(
+            ["P1", "P2", "P3"], [("E1", "P2"), ("E2", "P1"), ("E3", "P2")], [("E1", "L1", 1.0)], []
+        )
+        view = make_view(graph, normalize_adjacency=normalize)
+        dense_view = TypedGraphView(
+            view.types, view.counts, {pair: dense(adj) for pair, adj in view.adjacency.items()}
+        )
+        model = init_model(graph, SMALL, seed=5)
+        feats = identity_features(view)
+        got = hetero_layer_forward(model.layers[0], view, feats, activation="identity")
+        want = hetero_layer_forward(model.layers[0], dense_view, feats, activation="identity")
+        for t in want:
+            np.testing.assert_allclose(got[t].values, want[t].values, atol=1e-12)
 
 
 class TestForward:
@@ -229,10 +257,10 @@ class TestForward:
             view.types,
             view.counts,
             {
-                ("encounter", "patient"): toy_graph.a_ep[perm],
+                ("encounter", "patient"): Membership(toy_graph.a_ep[perm], 2),
                 ("encounter", "lab"): toy_graph.a_el[perm],
                 ("encounter", "medication"): toy_graph.a_em[perm],
-                ("patient", "encounter"): toy_graph.a_ep[perm].T,
+                ("patient", "encounter"): Membership(toy_graph.a_ep[perm], 2, transposed=True),
                 ("lab", "encounter"): toy_graph.a_el[perm].T,
                 ("medication", "encounter"): toy_graph.a_em[perm].T,
             },
@@ -259,10 +287,10 @@ class TestForward:
             view.types,
             view.counts,
             {
-                ("encounter", "patient"): toy_graph.a_ep,
+                ("encounter", "patient"): Membership(toy_graph.a_ep, 2),
                 ("encounter", "lab"): toy_graph.a_el[:, perm],
                 ("encounter", "medication"): toy_graph.a_em,
-                ("patient", "encounter"): toy_graph.a_ep.T,
+                ("patient", "encounter"): Membership(toy_graph.a_ep, 2, transposed=True),
                 ("lab", "encounter"): toy_graph.a_el[:, perm].T,
                 ("medication", "encounter"): toy_graph.a_em.T,
             },
@@ -301,7 +329,7 @@ class TestInductiveEmbed:
         ordinal = add_encounter(toy_graph, "P1", [("L2", 120.0)], "E5")
         w = {t: model.layers[0][t].values for t in model.layers[0]}
         z = (
-            toy_graph.a_ep[ordinal] @ w["patient"]
+            np.eye(toy_graph.n_patients)[toy_graph.a_ep[ordinal]] @ w["patient"]
             + toy_graph.a_el[ordinal] @ w["lab"]
             + toy_graph.a_em[ordinal] @ w["medication"]
         )

@@ -43,7 +43,8 @@ class TestGeneration:
 
     def test_every_encounter_has_one_patient(self):
         cohort = generate_synthetic(SMALL)
-        np.testing.assert_array_equal(cohort.graph.a_ep.sum(axis=1), np.ones(60))
+        a_ep = np.eye(cohort.graph.n_patients)[cohort.graph.a_ep]
+        np.testing.assert_array_equal(a_ep.sum(axis=1), np.ones(60))
 
     def test_default_spec_matches_reference_densities(self):
         cohort = generate_synthetic(SyntheticSpec())
