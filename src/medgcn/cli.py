@@ -13,7 +13,6 @@ timestamps, so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from .data_io import (
     export_predictions,
     load_csv_bundle,
     read_bundle_records,
+    read_new_encounters,
     write_csv_bundle,
     write_ground_truth,
 )
@@ -43,13 +43,14 @@ from .graph import (
     MedGraph,
     NodeType,
     add_encounter,
+    build_graph,
     graph_stats,
     load_graph,
     make_split,
     save_graph,
 )
 from .metrics import format_metric_report, metric_report_json
-from .model import Hyper, forward, inductive_embed, load_model, save_model, verify_model_graph
+from .model import Hyper, forward, load_model, save_model, verify_model_graph
 from .synthetic import SyntheticSpec, generate_synthetic, parse_spec_text
 from .training import (
     TASK_BOTH,
@@ -133,7 +134,7 @@ def cmd_synth(args) -> int:
 
 def cmd_build_graph(args) -> int:
     records = read_bundle_records(args.data)
-    graph = load_csv_bundle(args.data)
+    graph = build_graph(records.patients, records.encounters, records.lab_results, records.prescriptions)
     save_graph(graph, args.out)
     for name, count in records.row_counts().items():
         print(f"{name}: {count} rows")
@@ -188,66 +189,22 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _read_new_encounters(directory) -> list[tuple[str, str, list[tuple[str, float]]]]:
-    """New-encounter row set: encounters.csv plus optional lab_results.csv,
-    same headers as a bundle, patients and lab codes must already exist."""
-    directory = Path(directory)
-    records: dict[str, tuple[str, list[tuple[str, float]]]] = {}
-    enc_path = directory / "encounters.csv"
-    if not enc_path.is_file():
-        raise IngestionError(f"missing required file {enc_path}")
-    with open(enc_path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["encounter_id", "patient_id"]:
-            raise IngestionError(f"{enc_path.name}:1: expected header encounter_id,patient_id")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise IngestionError(f"{enc_path.name}:{lineno}: expected 2 columns, got {len(row)}")
-            eid, pid = (c.strip() for c in row)
-            if eid in records:
-                raise IngestionError(f"{enc_path.name}:{lineno}: duplicate encounter_id {eid!r}")
-            records[eid] = (pid, [])
-    lab_path = directory / "lab_results.csv"
-    if lab_path.is_file():
-        with open(lab_path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ["encounter_id", "lab_code", "value"]:
-                raise IngestionError(f"{lab_path.name}:1: expected header encounter_id,lab_code,value")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise IngestionError(f"{lab_path.name}:{lineno}: expected 3 columns, got {len(row)}")
-                eid, code, value = (c.strip() for c in row)
-                if eid not in records:
-                    raise IngestionError(f"{lab_path.name}:{lineno}: unknown encounter_id {eid!r}")
-                try:
-                    parsed = float(value)
-                except ValueError:
-                    raise IngestionError(f"{lab_path.name}:{lineno}: non-numeric value {value!r}") from None
-                records[eid][1].append((code, parsed))
-    return [(eid, pid, labs) for eid, (pid, labs) in records.items()]
-
-
 def _predict_encounter(args) -> tuple[MedGraph, np.ndarray, np.ndarray, int]:
     """Shared recommend/impute pipeline: returns the (possibly grown) graph,
-    the encounter's medication probabilities and lab values, and its ordinal."""
+    the encounter's medication probabilities and lab values, and its ordinal.
+
+    Appending encounters leaves the patient, lab and medication nodes and
+    the trained encounter prefix as they were, so one checkpoint check
+    before the append covers the grown graph too.
+    """
+    if args.inductive != (args.new_rows is not None):
+        raise ParameterError("--inductive and --new-rows DIR go together: DIR holds the new encounter rows")
     graph = load_csv_bundle(args.data)
     model = load_model(args.checkpoint)
     verify_model_graph(model, graph)
     if args.inductive:
-        if not args.new_rows:
-            raise ParameterError("--inductive needs --new-rows DIR with the new encounter rows")
-        for eid, pid, labs in _read_new_encounters(args.new_rows):
+        for eid, pid, labs in read_new_encounters(args.new_rows):
             add_encounter(graph, pid, labs, encounter_id=eid)
-        verify_model_graph(model, graph)
-        ordinal = graph.registry.ordinal(NodeType.ENCOUNTER, args.encounter)
-        p_row, v_row = inductive_embed(model, graph, ordinal)
-        return graph, p_row, v_row, ordinal
     ordinal = graph.registry.ordinal(NodeType.ENCOUNTER, args.encounter)
     p, v, _ = forward(model, graph, training=False)
     return graph, p.values[ordinal], v.values[ordinal], ordinal

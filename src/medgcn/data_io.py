@@ -7,7 +7,9 @@ Bundle layout (UTF-8, comma-separated, one header row):
   prescriptions.csv  encounter_id,med_code
 
 Ingestion validates shape and references row by row so errors carry
-file:line positions, then delegates graph assembly to build_graph.
+file:line positions, then delegates graph assembly to build_graph.  Rows
+for encounters that arrive after training (read_new_encounters) pass the
+same per-line checks.
 All numeric output uses repr, which round-trips float64 exactly.
 """
 
@@ -75,6 +77,43 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[s
     return rows
 
 
+def _check_encounter_rows(rows, patients: Optional[set[str]] = None) -> list[tuple[str, str]]:
+    """encounters.csv rows in file order.  Rejects duplicate encounter IDs
+    and, when a patient set is given, patients outside it."""
+    encounters: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for lineno, (eid, pid) in rows:
+        if eid in seen:
+            raise IngestionError(f"encounters.csv:{lineno}: duplicate encounter_id {eid!r}")
+        if patients is not None and pid not in patients:
+            raise IngestionError(f"encounters.csv:{lineno}: unknown patient_id {pid!r}")
+        seen.add(eid)
+        encounters.append((eid, pid))
+    return encounters
+
+
+def _check_lab_rows(rows, encounter_ids) -> list[tuple[str, str, float]]:
+    """lab_results.csv rows in file order with parsed values.  Rejects
+    encounters outside encounter_ids, a repeated (encounter, lab) pair,
+    and values that are not finite numbers."""
+    lab_results: list[tuple[str, str, float]] = []
+    seen: set[tuple[str, str]] = set()
+    for lineno, (eid, code, value) in rows:
+        if eid not in encounter_ids:
+            raise IngestionError(f"lab_results.csv:{lineno}: unknown encounter_id {eid!r}")
+        if (eid, code) in seen:
+            raise IngestionError(f"lab_results.csv:{lineno}: duplicate observation for {eid!r}, {code!r}")
+        try:
+            parsed = float(value)
+        except ValueError:
+            raise IngestionError(f"lab_results.csv:{lineno}: non-numeric value {value!r}") from None
+        if not np.isfinite(parsed):
+            raise IngestionError(f"lab_results.csv:{lineno}: non-finite value {value!r}")
+        seen.add((eid, code))
+        lab_results.append((eid, code, parsed))
+    return lab_results
+
+
 def read_bundle_records(directory) -> BundleRecords:
     """Parse and cross-validate the four bundle CSVs."""
     directory = Path(directory)
@@ -88,36 +127,14 @@ def read_bundle_records(directory) -> BundleRecords:
         seen_patients.add(pid)
         patients.append(pid)
 
-    encounters: list[tuple[str, str]] = []
-    seen_encounters: set[str] = set()
-    for lineno, (eid, pid) in raw["encounters.csv"]:
-        if eid in seen_encounters:
-            raise IngestionError(f"encounters.csv:{lineno}: duplicate encounter_id {eid!r}")
-        if pid not in seen_patients:
-            raise IngestionError(f"encounters.csv:{lineno}: unknown patient_id {pid!r}")
-        seen_encounters.add(eid)
-        encounters.append((eid, pid))
-
-    lab_results: list[tuple[str, str, float]] = []
-    seen_lab_pairs: set[tuple[str, str]] = set()
-    for lineno, (eid, code, value) in raw["lab_results.csv"]:
-        if eid not in seen_encounters:
-            raise IngestionError(f"lab_results.csv:{lineno}: unknown encounter_id {eid!r}")
-        if (eid, code) in seen_lab_pairs:
-            raise IngestionError(f"lab_results.csv:{lineno}: duplicate observation for {eid!r}, {code!r}")
-        try:
-            parsed = float(value)
-        except ValueError:
-            raise IngestionError(f"lab_results.csv:{lineno}: non-numeric value {value!r}") from None
-        if not np.isfinite(parsed):
-            raise IngestionError(f"lab_results.csv:{lineno}: non-finite value {value!r}")
-        seen_lab_pairs.add((eid, code))
-        lab_results.append((eid, code, parsed))
+    encounters = _check_encounter_rows(raw["encounters.csv"], seen_patients)
+    encounter_ids = {eid for eid, _ in encounters}
+    lab_results = _check_lab_rows(raw["lab_results.csv"], encounter_ids)
 
     prescriptions: list[tuple[str, str]] = []
     seen_med_pairs: set[tuple[str, str]] = set()
     for lineno, (eid, code) in raw["prescriptions.csv"]:
-        if eid not in seen_encounters:
+        if eid not in encounter_ids:
             raise IngestionError(f"prescriptions.csv:{lineno}: unknown encounter_id {eid!r}")
         if (eid, code) in seen_med_pairs:
             raise IngestionError(f"prescriptions.csv:{lineno}: duplicate prescription for {eid!r}, {code!r}")
@@ -125,6 +142,25 @@ def read_bundle_records(directory) -> BundleRecords:
         prescriptions.append((eid, code))
 
     return BundleRecords(patients, encounters, lab_results, prescriptions)
+
+
+def read_new_encounters(directory) -> list[tuple[str, str, list[tuple[str, float]]]]:
+    """Encounters arriving after training: encounters.csv plus an optional
+    lab_results.csv, under the bundle's headers and per-line checks.
+
+    Returns (encounter_id, patient_id, [(lab_code, value), ...]) in
+    encounters.csv order, each encounter's labs in lab_results.csv order.
+    Patients and lab codes are resolved later, against the graph the rows
+    are appended to.
+    """
+    directory = Path(directory)
+    encounters = _check_encounter_rows(_read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"]))
+    labs: dict[str, list[tuple[str, float]]] = {eid: [] for eid, _ in encounters}
+    lab_path = directory / "lab_results.csv"
+    if lab_path.is_file():
+        for eid, code, value in _check_lab_rows(_read_rows(lab_path, BUNDLE_FILES["lab_results.csv"]), labs):
+            labs[eid].append((code, value))
+    return [(eid, pid, labs[eid]) for eid, pid in encounters]
 
 
 def load_csv_bundle(directory) -> MedGraph:

@@ -226,6 +226,25 @@ def _normalize_matrix(raw_el: np.ndarray, m_el: np.ndarray, lab_norm: np.ndarray
     return np.where(m_el == 1.0, np.where(degenerate, 0.5, scaled), 0.0)
 
 
+def _edge_ordinals(
+    registry: NodeRegistry, pairs: Iterable[tuple[str, str]], target: NodeType, what: str
+) -> np.ndarray:
+    """(n, 2) int64 (encounter, target) ordinals of the pairs, registering
+    target codes in first-appearance order.  Rejects unknown encounters
+    and repeated pairs."""
+    edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for eid, code in pairs:
+        if not registry.contains(NodeType.ENCOUNTER, eid):
+            raise IntegrityError(f"{what} references unknown encounter {eid!r}")
+        edge = (registry.ordinal(NodeType.ENCOUNTER, eid), registry.add_if_absent(target, code))
+        if edge in seen:
+            raise IntegrityError(f"duplicate {what} for encounter {eid!r}, {target.value} {code!r}")
+        seen.add(edge)
+        edges.append(edge)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+
 def build_graph(
     patients: Sequence[str],
     encounters: Sequence[tuple[str, str]],
@@ -243,54 +262,24 @@ def build_graph(
     registry = NodeRegistry()
     for pid in patients:
         registry.add(NodeType.PATIENT, pid)
+    a_ep: list[int] = []
     for eid, pid in encounters:
         if not registry.contains(NodeType.PATIENT, pid):
             raise IntegrityError(f"encounter {eid!r} references unknown patient {pid!r}")
         registry.add(NodeType.ENCOUNTER, eid)
+        a_ep.append(registry.ordinal(NodeType.PATIENT, pid))
+
+    labs = _edge_ordinals(registry, ((eid, code) for eid, code, _ in lab_results), NodeType.LAB, "lab observation")
+    meds = _edge_ordinals(registry, prescriptions, NodeType.MEDICATION, "prescription")
 
     n_e = registry.count(NodeType.ENCOUNTER)
-    a_ep = np.array([registry.ordinal(NodeType.PATIENT, pid) for _, pid in encounters], dtype=np.int64)
-
-    seen_lab_pairs: set[tuple[int, int]] = set()
-    lab_triples: list[tuple[int, int, float]] = []
-    for eid, lab_code, value in lab_results:
-        if not registry.contains(NodeType.ENCOUNTER, eid):
-            raise IntegrityError(f"lab result references unknown encounter {eid!r}")
-        i = registry.ordinal(NodeType.ENCOUNTER, eid)
-        j = registry.add_if_absent(NodeType.LAB, lab_code)
-        if (i, j) in seen_lab_pairs:
-            raise IntegrityError(f"duplicate lab observation for encounter {eid!r}, lab {lab_code!r}")
-        seen_lab_pairs.add((i, j))
-        lab_triples.append((i, j, float(value)))
-
-    seen_med_pairs: set[tuple[int, int]] = set()
-    med_pairs: list[tuple[int, int]] = []
-    for eid, med_code in prescriptions:
-        if not registry.contains(NodeType.ENCOUNTER, eid):
-            raise IntegrityError(f"prescription references unknown encounter {eid!r}")
-        i = registry.ordinal(NodeType.ENCOUNTER, eid)
-        j = registry.add_if_absent(NodeType.MEDICATION, med_code)
-        if (i, j) in seen_med_pairs:
-            raise IntegrityError(f"duplicate prescription for encounter {eid!r}, medication {med_code!r}")
-        seen_med_pairs.add((i, j))
-        med_pairs.append((i, j))
-
-    n_l, n_m = registry.count(NodeType.LAB), registry.count(NodeType.MEDICATION)
-    raw_el = np.zeros((n_e, n_l))
-    m_el = np.zeros((n_e, n_l))
-    for i, j, value in lab_triples:
-        raw_el[i, j] = value
-        m_el[i, j] = 1.0
-    a_em = np.zeros((n_e, n_m))
-    for i, j in med_pairs:
-        a_em[i, j] = 1.0
-
-    lab_norm = _fit_ranges(raw_el, m_el)
-    a_el = _normalize_matrix(raw_el, m_el, lab_norm)
-
-    graph = MedGraph(registry, a_ep, a_el, m_el, a_em, raw_el, lab_norm)
-    graph.validate()
-    return graph
+    raw_el = np.zeros((n_e, registry.count(NodeType.LAB)))
+    m_el = np.zeros_like(raw_el)
+    a_em = np.zeros((n_e, registry.count(NodeType.MEDICATION)))
+    raw_el[labs[:, 0], labs[:, 1]] = [float(value) for _, _, value in lab_results]
+    m_el[labs[:, 0], labs[:, 1]] = 1.0
+    a_em[meds[:, 0], meds[:, 1]] = 1.0
+    return assemble_graph(registry, np.array(a_ep, dtype=np.int64), raw_el, m_el, a_em)
 
 
 def assemble_graph(
@@ -301,8 +290,8 @@ def assemble_graph(
     a_em: np.ndarray,
 ) -> MedGraph:
     """Build a MedGraph from each encounter's patient ordinal (a_ep) and
-    prebuilt lab and medication matrices, fitting lab ranges from the
-    observed entries exactly as build_graph does."""
+    prebuilt lab and medication matrices: fit lab ranges over every
+    observed entry, normalize, and validate."""
     raw_el = np.where(m_el == 1.0, raw_el, 0.0)
     lab_norm = _fit_ranges(raw_el, m_el)
     a_el = _normalize_matrix(raw_el, m_el, lab_norm)

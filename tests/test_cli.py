@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import medgcn
+import medgcn.data_io
 from medgcn.cli import main, parse_split_flag
 from medgcn.errors import ParameterError
 
@@ -127,6 +128,19 @@ class TestGraphCommands:
         from_csv = capsys.readouterr().out
         assert from_file == from_csv
         assert "a_em" in from_file
+
+    def test_build_graph_reads_each_csv_once(self, cohort_dir, tmp_path, monkeypatch, capsys):
+        read_rows = medgcn.data_io._read_rows
+        names = []
+
+        def counting(path, header):
+            names.append(Path(path).name)
+            return read_rows(path, header)
+
+        monkeypatch.setattr(medgcn.data_io, "_read_rows", counting)
+        assert main(["build-graph", "--data", str(cohort_dir), "--out", str(tmp_path / "g.bin")]) == 0
+        capsys.readouterr()
+        assert sorted(names) == sorted(["patients.csv", "encounters.csv", "lab_results.csv", "prescriptions.csv"])
 
     def test_stats_two_decimal_sparsity(self, cohort_dir, capsys):
         assert main(["stats", "--data", str(cohort_dir)]) == 0
@@ -298,6 +312,41 @@ class TestRecommendImpute:
         )
         assert code == 2
         capsys.readouterr()
+
+    def test_new_rows_without_inductive_exits_2(self, cohort_dir, checkpoint, tmp_path, capsys):
+        new_rows = tmp_path / "new"
+        new_rows.mkdir()
+        (new_rows / "encounters.csv").write_text("encounter_id,patient_id\nX1,P0\n")
+        code = main(
+            [
+                "recommend", "--checkpoint", str(checkpoint), "--data", str(cohort_dir),
+                "--encounter", "X1", "--new-rows", str(new_rows),
+            ]
+        )
+        assert code == 2
+        assert "--inductive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "labs, message",
+        [
+            ("X1,L1,nan\n", "lab_results.csv:2: non-finite value"),
+            ("X1,L1,inf\n", "lab_results.csv:2: non-finite value"),
+            ("X1,L1,0.7\nX1,L1,0.8\n", "lab_results.csv:3: duplicate observation"),
+        ],
+    )
+    def test_bad_new_lab_rows_cite_file_and_line(self, cohort_dir, checkpoint, tmp_path, capsys, labs, message):
+        new_rows = tmp_path / "new"
+        new_rows.mkdir()
+        (new_rows / "encounters.csv").write_text("encounter_id,patient_id\nX1,P0\n")
+        (new_rows / "lab_results.csv").write_text("encounter_id,lab_code,value\n" + labs)
+        code = main(
+            [
+                "impute", "--checkpoint", str(checkpoint), "--data", str(cohort_dir),
+                "--encounter", "X1", "--inductive", "--new-rows", str(new_rows),
+            ]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_out_writes_prediction_csvs(self, cohort_dir, checkpoint, tmp_path, capsys):
         out = tmp_path / "preds"
