@@ -203,11 +203,11 @@ def _predict_encounter(args) -> tuple[MedGraph, np.ndarray, np.ndarray, int]:
     model = load_model(args.checkpoint)
     verify_model_graph(model, graph)
     if args.inductive:
-        for eid, pid, labs in read_new_encounters(args.new_rows):
+        for eid, pid, labs in read_new_encounters(args.new_rows, graph.registry.ids(NodeType.ENCOUNTER)):
             add_encounter(graph, pid, labs, encounter_id=eid)
     ordinal = graph.registry.ordinal(NodeType.ENCOUNTER, args.encounter)
-    p, v, _ = forward(model, graph, training=False)
-    return graph, p.values[ordinal], v.values[ordinal], ordinal
+    p, v, _ = forward(model, graph, training=False, rows=[ordinal])
+    return graph, p.values[0], v.values[0], ordinal
 
 
 def _maybe_export(args, graph, p_row, v_row, ordinal) -> None:

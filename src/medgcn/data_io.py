@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -77,11 +77,14 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[s
     return rows
 
 
-def _check_encounter_rows(rows, patients: Optional[set[str]] = None) -> list[tuple[str, str]]:
-    """encounters.csv rows in file order.  Rejects duplicate encounter IDs
-    and, when a patient set is given, patients outside it."""
+def _check_encounter_rows(
+    rows, patients: Optional[set[str]] = None, existing: Iterable[str] = ()
+) -> list[tuple[str, str]]:
+    """encounters.csv rows in file order.  Rejects encounter IDs repeated in
+    the file or already in existing and, when a patient set is given,
+    patients outside it."""
     encounters: list[tuple[str, str]] = []
-    seen: set[str] = set()
+    seen: set[str] = set(existing)
     for lineno, (eid, pid) in rows:
         if eid in seen:
             raise IngestionError(f"encounters.csv:{lineno}: duplicate encounter_id {eid!r}")
@@ -144,9 +147,13 @@ def read_bundle_records(directory) -> BundleRecords:
     return BundleRecords(patients, encounters, lab_results, prescriptions)
 
 
-def read_new_encounters(directory) -> list[tuple[str, str, list[tuple[str, float]]]]:
+def read_new_encounters(
+    directory, existing_ids: Iterable[str] = ()
+) -> list[tuple[str, str, list[tuple[str, float]]]]:
     """Encounters arriving after training: encounters.csv plus an optional
-    lab_results.csv, under the bundle's headers and per-line checks.
+    lab_results.csv, under the bundle's headers and per-line checks.  An
+    encounter ID already in existing_ids (the graph's encounters) counts
+    as a duplicate.
 
     Returns (encounter_id, patient_id, [(lab_code, value), ...]) in
     encounters.csv order, each encounter's labs in lab_results.csv order.
@@ -154,7 +161,9 @@ def read_new_encounters(directory) -> list[tuple[str, str, list[tuple[str, float
     are appended to.
     """
     directory = Path(directory)
-    encounters = _check_encounter_rows(_read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"]))
+    encounters = _check_encounter_rows(
+        _read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"]), existing=existing_ids
+    )
     labs: dict[str, list[tuple[str, float]]] = {eid: [] for eid, _ in encounters}
     lab_path = directory / "lab_results.csv"
     if lab_path.is_file():

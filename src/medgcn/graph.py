@@ -98,6 +98,12 @@ class NodeRegistry:
     def ids(self, node_type: NodeType) -> tuple[str, ...]:
         return tuple(self._ids[node_type])
 
+    def copy(self) -> "NodeRegistry":
+        out = NodeRegistry()
+        out._ids = {t: list(ids) for t, ids in self._ids.items()}
+        out._index = {t: dict(index) for t, index in self._index.items()}
+        return out
+
 
 def _sha256_lines(lines: Iterable[str]) -> str:
     h = hashlib.sha256()
@@ -183,7 +189,7 @@ class MedGraph:
 
     def copy(self) -> "MedGraph":
         return MedGraph(
-            registry=self.registry,
+            registry=self.registry.copy(),
             a_ep=self.a_ep.copy(),
             a_el=self.a_el.copy(),
             m_el=self.m_el.copy(),
@@ -492,18 +498,16 @@ def add_encounter(
         encounter_id = f"new-encounter-{k}"
     ordinal = graph.registry.add(NodeType.ENCOUNTER, encounter_id)
 
-    def grow(mat: np.ndarray) -> np.ndarray:
-        return np.vstack([mat, np.zeros((1, mat.shape[1]))])
-
+    cols = [j for j, _ in resolved]
+    raw = np.zeros((1, graph.n_labs))
+    mask = np.zeros_like(raw)
+    raw[0, cols] = [value for _, value in resolved]
+    mask[0, cols] = 1.0
     graph.a_ep = np.append(graph.a_ep, np.int64(p))
-    graph.a_el = grow(graph.a_el)
-    graph.m_el = grow(graph.m_el)
-    graph.a_em = grow(graph.a_em)
-    graph.raw_el = grow(graph.raw_el)
-    for j, value in resolved:
-        graph.raw_el[ordinal, j] = value
-        graph.m_el[ordinal, j] = 1.0
-        graph.a_el[ordinal, j] = normalize_lab(value, j, graph.lab_norm)
+    graph.a_el = np.vstack([graph.a_el, _normalize_matrix(raw, mask, graph.lab_norm)])
+    graph.m_el = np.vstack([graph.m_el, mask])
+    graph.a_em = np.vstack([graph.a_em, np.zeros((1, graph.n_medications))])
+    graph.raw_el = np.vstack([graph.raw_el, raw])
     return ordinal
 
 

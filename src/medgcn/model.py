@@ -154,12 +154,25 @@ def _propagate(adj: Adjacency, h: Tensor) -> Tensor:
     return ad.take_rows(h, adj.index)
 
 
+def _take_adjacency_rows(adj: Adjacency, rows: np.ndarray) -> Adjacency:
+    """The rows of adj listed in rows, in that order."""
+    if not isinstance(adj, Membership):
+        return adj[rows]
+    if adj.transposed:
+        raise ShapeError("row inference needs encounters as the members of a membership, not its groups")
+    return Membership(adj.index[rows], adj.n_groups)
+
+
+def _encounter_sources(graph: MedGraph) -> dict[str, Adjacency]:
+    """The adjacencies encounters aggregate from, keyed by source type."""
+    _, p, l, m = TYPE_ORDER
+    return {p: Membership(graph.a_ep, graph.n_patients), l: graph.a_el, m: graph.a_em}
+
+
 def make_view(graph: MedGraph, normalize_adjacency: bool = False) -> TypedGraphView:
     e, p, l, m = TYPE_ORDER
     mats: dict[tuple[str, str], Adjacency] = {
-        (e, p): Membership(graph.a_ep, graph.n_patients),
-        (e, l): graph.a_el,
-        (e, m): graph.a_em,
+        **{(e, src): adj for src, adj in _encounter_sources(graph).items()},
         (p, e): Membership(graph.a_ep, graph.n_patients, transposed=True),
         (l, e): graph.a_el.T,
         (m, e): graph.a_em.T,
@@ -341,6 +354,7 @@ def forward(
     training: bool = False,
     rng=None,
     all_types_last_layer: bool = False,
+    rows=None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Full pass: all layers, then both heads on the encounter rows.
 
@@ -348,7 +362,17 @@ def forward(
     values, and the final encounter representations.  The last layer only
     computes the encounter rows unless all_types_last_layer is set, since
     the heads consume nothing else.
+
+    With rows (encounter ordinals, inference only) the last layer computes
+    just those encounter rows and the outputs hold one row per entry of
+    rows, equal to the same rows of the full pass.  Earlier layers still
+    run over the whole graph, so a one-layer model scores a row from its
+    own edges only.
     """
+    if rows is not None:
+        if training or all_types_last_layer:
+            raise ParameterError("rows selects encounter rows for inference; it excludes training and all_types_last_layer")
+        return _forward_rows(model, graph, features, rows)
     view = make_view(graph, model.hyper.normalize_adjacency) if isinstance(graph, MedGraph) else graph
     feats: Features = dict(features) if features is not None else {t: None for t in view.types}
     rate = model.hyper.dropout if training else 0.0
@@ -361,10 +385,71 @@ def forward(
             training=training, dropout=rate, rng=rng,
             dest_types=dest,
         )
-    h_e = feats[ENCOUNTER]
+    return _heads(model, feats[ENCOUNTER])
+
+
+def _heads(model: MedGcnModel, h_e: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     p = ad.sigmoid(ad.add_bias(ad.matmul(h_e, model.head_med_w), model.head_med_b))
     v = ad.sigmoid(ad.add_bias(ad.matmul(h_e, model.head_lab_w), model.head_lab_b))
     return p, v, h_e
+
+
+def _check_rows(rows, n_encounters: int) -> np.ndarray:
+    index = np.asarray(rows)
+    if index.ndim != 1 or (index.size and index.dtype.kind not in "iu"):
+        raise ParameterError(f"rows must be a 1-D sequence of encounter ordinals, got {index.dtype} {index.shape}")
+    index = index.astype(np.int64)
+    bad = index[(index < 0) | (index >= n_encounters)]
+    if bad.size:
+        raise GraphLookupError(f"encounter ordinal {bad[0]} out of range 0..{n_encounters - 1}")
+    return index
+
+
+def _forward_rows(
+    model: MedGcnModel,
+    graph: Union[MedGraph, TypedGraphView],
+    features: Optional[Features],
+    rows,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """forward(..., rows=rows): the last layer's encounter rows from their
+    own adjacency rows, then the heads on those rows."""
+    normalize = model.hyper.normalize_adjacency
+    if isinstance(graph, MedGraph):
+        counts = {t.value: graph.registry.count(t) for t in NodeType}
+        sources = _encounter_sources(graph)
+    else:
+        counts = graph.counts
+        sources = {src: adj for (dst, src), adj in graph.adjacency.items() if dst == ENCOUNTER}
+    rows = _check_rows(rows, counts[ENCOUNTER])
+    sources = {src: _take_adjacency_rows(adj, rows) for src, adj in sources.items()}
+    if normalize and isinstance(graph, MedGraph):
+        # Normalized after slicing, so the cost stays with the rows; a
+        # row's sum is the same either way.  A view comes as it was built.
+        sources = {src: _row_normalize(adj) for src, adj in sources.items()}
+    feats: Features = dict(features) if features is not None else {}
+    *earlier, last = model.layers
+    if earlier:
+        view = make_view(graph, normalize) if isinstance(graph, MedGraph) else graph
+        for layer in earlier:
+            feats = hetero_layer_forward(layer, view, feats, activation=model.hyper.activation)
+    z = _project_rows(last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], rows)
+    for src, adj in sources.items():
+        projected = _project_type(src, last[src], feats.get(src), counts[src], False, 0.0, None)
+        z = ad.add(z, _propagate(adj, projected))
+    return _heads(model, _activation(model.hyper.activation)(z))
+
+
+def _project_rows(weight: Tensor, feature, n_nodes: int, rows: np.ndarray) -> Tensor:
+    """The listed encounter rows of _project_type's output at inference;
+    one-hot features read just those rows of the weight."""
+    if feature is not None:
+        return ad.take_rows(_project_type(ENCOUNTER, weight, feature, n_nodes, False, 0.0, None), rows)
+    if weight.rows > n_nodes:
+        raise ShapeError(f"{ENCOUNTER} one-hot features need a {n_nodes}-row weight, got {weight.rows}")
+    out = np.zeros((rows.size, weight.cols))
+    known = rows < weight.rows
+    out[known] = weight.values[rows[known]]
+    return Tensor(out)
 
 
 def inductive_embed(
@@ -376,12 +461,8 @@ def inductive_embed(
     their representation comes entirely from their patient/lab/medication
     neighbors; trained encounters reproduce the training-time forward.
     """
-    if not 0 <= new_ordinal < graph.n_encounters:
-        raise GraphLookupError(
-            f"encounter ordinal {new_ordinal} out of range 0..{graph.n_encounters - 1}"
-        )
-    p, v, _ = forward(model, graph, training=False)
-    return p.values[new_ordinal].copy(), v.values[new_ordinal].copy()
+    p, v, _ = forward(model, graph, rows=[new_ordinal])
+    return p.values[0], v.values[0]
 
 
 def _weight_entries(model: MedGcnModel) -> list[tuple[str, Tensor]]:

@@ -348,6 +348,19 @@ class TestRecommendImpute:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_new_row_reusing_a_bundle_id_cites_file_and_line(self, cohort_dir, checkpoint, tmp_path, capsys):
+        new_rows = tmp_path / "new"
+        new_rows.mkdir()
+        (new_rows / "encounters.csv").write_text("encounter_id,patient_id\nX1,P0\nE2,P0\n")
+        code = main(
+            [
+                "recommend", "--checkpoint", str(checkpoint), "--data", str(cohort_dir),
+                "--encounter", "X1", "--inductive", "--new-rows", str(new_rows),
+            ]
+        )
+        assert code == 2
+        assert "encounters.csv:3: duplicate encounter_id 'E2'" in capsys.readouterr().err
+
     def test_out_writes_prediction_csvs(self, cohort_dir, checkpoint, tmp_path, capsys):
         out = tmp_path / "preds"
         code = main(

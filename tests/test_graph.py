@@ -384,6 +384,38 @@ class TestAddEncounter:
         assert loaded.a_ep.shape == (7,) and loaded.a_ep.dtype == np.int64
         np.testing.assert_array_equal(loaded.a_ep, toy_graph.a_ep)
 
+    def test_appended_row_equals_per_value_normalization(self, toy_graph):
+        # Toy ranges: L1 0..10, L2 100..140, L3 0.4..0.8.  The values fall
+        # inside, below and above them; L4 gets a degenerate 2..2 range.
+        toy_graph.lab_norm = np.vstack([toy_graph.lab_norm, [2.0, 2.0]])
+        toy_graph.registry.add(NodeType.LAB, "L4")
+        for name in ("a_el", "m_el", "raw_el"):
+            mat = getattr(toy_graph, name)
+            setattr(toy_graph, name, np.hstack([mat, np.zeros((mat.shape[0], 1))]))
+        cases = [
+            [("L1", 3.7), ("L2", 99.0), ("L3", 0.9), ("L4", 5.0)],
+            [("L3", 0.55), ("L1", -4.0), ("L2", 140.0)],
+            [("L4", 2.0), ("L2", 1e9)],
+            [],
+        ]
+        for labs in cases:
+            ordinal = add_encounter(toy_graph, "P1", labs)
+            want = np.zeros(toy_graph.n_labs)
+            for code, value in labs:
+                j = toy_graph.registry.ordinal(NodeType.LAB, code)
+                want[j] = normalize_lab(value, j, toy_graph.lab_norm)
+            assert toy_graph.a_el[ordinal].tobytes() == want.tobytes()
+        assert {0.0, 0.5, 1.0} <= set(toy_graph.a_el[4:].ravel())
+        toy_graph.validate()
+
+    def test_copy_leaves_the_original_registry_alone(self, toy_graph):
+        first = toy_graph.copy()
+        add_encounter(first, "P1", [], "NEW")
+        toy_graph.validate()
+        assert toy_graph.n_encounters == 4
+        second = toy_graph.copy()
+        assert add_encounter(second, "P2", [], "NEW") == 4
+
     def test_fingerprint_changes(self, toy_graph):
         before = toy_graph.fingerprint()
         add_encounter(toy_graph, "P1", [])

@@ -416,3 +416,77 @@ class TestCheckpoints:
         )
         with pytest.raises(CheckpointError):
             verify_model_graph(model, smaller)
+
+
+class TestForwardRows:
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("activation", ["relu", "identity"])
+    def test_rows_match_the_batch_forward(self, toy_graph, n_layers, normalize, activation):
+        hyper = Hyper(hidden_dim=6, n_layers=n_layers, dropout=0.0, activation=activation,
+                      normalize_adjacency=normalize)
+        model = init_model(toy_graph, hyper, seed=5)
+        add_encounter(toy_graph, "P2", [("L1", 7.0), ("L2", 120.0)], "E5")
+        add_encounter(toy_graph, "P1", [], "E6")
+        want = forward(model, toy_graph)
+        # Trained rows, appended rows, and a batch with a repeat.
+        for rows in ([0], [3], [4], [5], [5, 0, 4, 4, 2]):
+            got = forward(model, toy_graph, rows=rows)
+            for g, w in zip(got, want):
+                assert g.shape == (len(rows), w.cols)
+                np.testing.assert_allclose(g.values, w.values[rows], rtol=0.0, atol=1e-12)
+
+    def test_rows_on_a_view_with_explicit_features(self, toy_graph):
+        rng = np.random.default_rng(3)
+        feats = {t: rng.standard_normal((n, 3)) for t, n in make_view(toy_graph).counts.items()}
+        hyper = Hyper(hidden_dim=5, n_layers=2, dropout=0.0)
+        model = init_model(toy_graph, hyper, seed=2, feature_dims={t: 3 for t in feats})
+        view = make_view(toy_graph, normalize_adjacency=True)
+        p, v, h = forward(model, view, feats)
+        rows = [2, 0, 3]
+        pr, vr, hr = forward(model, view, feats, rows=rows)
+        for got, want in ((pr, p), (vr, v), (hr, h)):
+            np.testing.assert_allclose(got.values, want.values[rows], rtol=0.0, atol=1e-12)
+
+    def test_rows_rejected_in_training(self, toy_graph):
+        model = init_model(toy_graph, SMALL, seed=5)
+        with pytest.raises(ParameterError):
+            forward(model, toy_graph, training=True, rng=np.random.default_rng(0), rows=[0])
+
+    @pytest.mark.parametrize("rows", [[-1], [4], [0, 4]])
+    def test_rows_out_of_range(self, toy_graph, rows):
+        model = init_model(toy_graph, SMALL, seed=5)
+        with pytest.raises(GraphLookupError):
+            forward(model, toy_graph, rows=rows)
+
+    def test_rows_must_be_ordinals(self, toy_graph):
+        model = init_model(toy_graph, SMALL, seed=5)
+        with pytest.raises(ParameterError):
+            forward(model, toy_graph, rows=[0.5])
+
+    def test_one_layer_embed_runs_no_full_graph_product(self, toy_graph, monkeypatch):
+        import medgcn.autodiff as ad
+        import medgcn.model as model_mod
+
+        model = init_model(toy_graph, SMALL, seed=8)
+        ordinal = add_encounter(toy_graph, "P1", [("L2", 120.0)], "E5")
+        layer_calls, out_rows = [], []
+
+        def counted(*args, **kwargs):
+            layer_calls.append(1)
+            return hetero_layer_forward(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "hetero_layer_forward", counted)
+        for name in ("matmul", "take_rows", "scatter_rows"):
+            original = getattr(ad, name)
+
+            def recorded(*args, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                out_rows.append(out.rows)
+                return out
+
+            monkeypatch.setattr(ad, name, recorded)
+        p_row, _ = inductive_embed(model, toy_graph, ordinal)
+        assert layer_calls == []
+        assert out_rows and toy_graph.n_encounters not in out_rows
+        assert p_row.shape == (toy_graph.n_medications,)
