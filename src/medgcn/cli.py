@@ -67,6 +67,14 @@ EXIT_DIVERGED = 3
 EXIT_CHECKPOINT = 4
 EXIT_LOOKUP = 5
 
+# Exit code of each error kind; the first match wins.
+ERROR_EXITS = (
+    (CheckpointError, EXIT_CHECKPOINT),
+    (GraphLookupError, EXIT_LOOKUP),
+    ((TrainingError, NumericGuardError), EXIT_DIVERGED),
+    ((MedGcnError, OSError), EXIT_USAGE),
+)
+
 TASK_FLAGS = {"both": TASK_BOTH, "med": TASK_MEDICATION, "lab": TASK_LAB}
 
 
@@ -156,7 +164,6 @@ def cmd_train(args) -> int:
         lr=args.lr,
         max_epochs=args.epochs,
         patience=args.patience,
-        dropout=args.dropout,
         seed=args.seed,
         task_mode=TASK_FLAGS[args.task],
     )
@@ -233,10 +240,11 @@ def cmd_recommend(args) -> int:
 def cmd_impute(args) -> int:
     graph, p_row, v_row, ordinal = _predict_encounter(args)
     lab_ids = graph.registry.ids(NodeType.LAB)
+    a_row = graph.lab_rows(ordinal)
     print(f"encounter {args.encounter}: lab values (normalized, original units)")
     for j, code in enumerate(lab_ids):
-        observed = graph.m_el[ordinal, j] == 1.0
-        norm = graph.a_el[ordinal, j] if observed else v_row[j]
+        observed = graph.m_el[ordinal, j]
+        norm = a_row[j] if observed else v_row[j]
         original = graph.raw_el[ordinal, j] if observed else denormalize_lab(norm, j, graph.lab_norm)
         flag = "observed" if observed else "imputed"
         print(f"{code:<16s} {norm:10.6f} {original:14.6f}  {flag}")
@@ -316,21 +324,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CheckpointError as exc:
+    except (MedGcnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except GraphLookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOOKUP
-    except (TrainingError, NumericGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except MedGcnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kinds, code in ERROR_EXITS if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -44,12 +44,8 @@ class BundleRecords:
     prescriptions: list[tuple[str, str]]
 
     def row_counts(self) -> dict[str, int]:
-        return {
-            "patients.csv": len(self.patients),
-            "encounters.csv": len(self.encounters),
-            "lab_results.csv": len(self.lab_results),
-            "prescriptions.csv": len(self.prescriptions),
-        }
+        rows = (self.patients, self.encounters, self.lab_results, self.prescriptions)
+        return {name: len(r) for name, r in zip(BUNDLE_FILES, rows)}
 
 
 def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
@@ -187,31 +183,18 @@ def write_csv_bundle(graph: MedGraph, directory) -> None:
     lab_ids = reg.ids(NodeType.LAB)
     med_ids = reg.ids(NodeType.MEDICATION)
 
-    with open(directory / "patients.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["patient_id"])
-        for pid in pat_ids:
-            w.writerow([pid])
-
-    with open(directory / "encounters.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["encounter_id", "patient_id"])
-        for i, eid in enumerate(enc_ids):
-            w.writerow([eid, pat_ids[graph.a_ep[i]]])
-
-    with open(directory / "lab_results.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["encounter_id", "lab_code", "value"])
-        for i, eid in enumerate(enc_ids):
-            for j in np.flatnonzero(graph.m_el[i] == 1.0):
-                w.writerow([eid, lab_ids[j], repr(float(graph.raw_el[i, j]))])
-
-    with open(directory / "prescriptions.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["encounter_id", "med_code"])
-        for i, eid in enumerate(enc_ids):
-            for j in np.flatnonzero(graph.a_em[i] == 1.0):
-                w.writerow([eid, med_ids[j]])
+    labs = zip(np.argwhere(graph.m_el).tolist(), graph.raw_el[graph.m_el].tolist())
+    tables = {
+        "patients.csv": ([pid] for pid in pat_ids),
+        "encounters.csv": ([eid, pat_ids[p]] for eid, p in zip(enc_ids, graph.a_ep.tolist())),
+        "lab_results.csv": ([enc_ids[i], lab_ids[j], repr(value)] for (i, j), value in labs),
+        "prescriptions.csv": ([enc_ids[i], med_ids[j]] for i, j in np.argwhere(graph.a_em == 1.0).tolist()),
+    }
+    for name, rows in tables.items():
+        with open(directory / name, "w", newline="", encoding="utf-8") as f:
+            w = csv.writer(f)
+            w.writerow(BUNDLE_FILES[name])
+            w.writerows(rows)
 
 
 def write_ground_truth(directory, registry: NodeRegistry, true_labs: np.ndarray, med_propensity: np.ndarray) -> None:

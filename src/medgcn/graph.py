@@ -7,22 +7,26 @@ inter-type relations indexed by ordinals:
                      encounter has exactly one patient, so this index is
                      the one-hot N_E x N_P membership matrix without its
                      zeros, and that matrix is never built
-  a_el  (N_E x N_L)  observed lab values normalized into [0, 1]
-  m_el  (N_E x N_L)  observation mask; 1 marks a real measurement,
-                     so an observed zero stays distinguishable from missing
+  m_el  (N_E x N_L)  boolean observation mask; True marks a real
+                     measurement, so an observed zero stays
+                     distinguishable from missing
+  raw_el (N_E x N_L) observed lab values in original units, zero where
+                     unobserved
   a_em  (N_E x N_M)  prescribed-medication indicators
 
-Raw lab values are retained alongside the normalized matrix so that
-normalization ranges can be refit from training-visible edges after a
-split is chosen, keeping held-out values out of the statistics.
+Labs are stored once, as raw values plus the mask.  The normalized lab
+matrix a_el (values in [0, 1] under the per-lab ranges in lab_norm) is
+derived where it is read, so refitting the ranges after a split, which
+keeps held-out values out of the statistics, only replaces lab_norm.
 
 Within-type adjacency is an implicit identity: it is never stored and the
 model realizes it as a self-term.
 
-Graph files (save_graph / load_graph) start with the magic line MEDGRAPH2
-and a one-line JSON header, followed by a_ep as little-endian int64 and
-the four matrices as little-endian float64.  Files written in the older
-MEDGRAPH1 format, which stored a dense a_ep, are rejected.
+Graph files (save_graph / load_graph) start with the magic line MEDGRAPH3
+and a one-line JSON header, followed by a_ep as little-endian int64, m_el
+as one 0/1 byte per cell, and a_em and raw_el as little-endian float64.
+Files in the older MEDGRAPH1 (dense a_ep) and MEDGRAPH2 (stored a_el,
+float64 mask) formats are rejected.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import numpy as np
 
 from .errors import GraphLookupError, IntegrityError, ParameterError, SplitError
 
-MAGIC = b"MEDGRAPH2"
-_OLD_MAGIC = b"MEDGRAPH1"
+MAGIC = b"MEDGRAPH3"
+_OLD_MAGICS = (b"MEDGRAPH1", b"MEDGRAPH2")
 
 # Boundary arithmetic n * cumulative_ratio can land a hair under an integer
 # in floating point; nudge before flooring.
@@ -119,11 +123,19 @@ class MedGraph:
 
     registry: NodeRegistry
     a_ep: np.ndarray
-    a_el: np.ndarray
-    m_el: np.ndarray
+    m_el: np.ndarray  # bool
     a_em: np.ndarray
     raw_el: np.ndarray
     lab_norm: np.ndarray  # (N_L, 2) columns: training min, max in original units
+
+    @property
+    def a_el(self) -> np.ndarray:
+        """The normalized lab matrix, derived from raw_el, m_el and lab_norm."""
+        return self.lab_rows(slice(None))
+
+    def lab_rows(self, rows) -> np.ndarray:
+        """The normalized lab values of the encounter rows selected by rows."""
+        return _normalize_matrix(self.raw_el[rows], self.m_el[rows], self.lab_norm)
 
     @property
     def n_encounters(self) -> int:
@@ -146,7 +158,6 @@ class MedGraph:
         n_l, n_m = self.n_labs, self.n_medications
         shapes = {
             "a_ep": (self.a_ep, (n_e,)),
-            "a_el": (self.a_el, (n_e, n_l)),
             "m_el": (self.m_el, (n_e, n_l)),
             "a_em": (self.a_em, (n_e, n_m)),
             "raw_el": (self.raw_el, (n_e, n_l)),
@@ -160,15 +171,12 @@ class MedGraph:
             raise IntegrityError(f"a_ep must hold int64 patient ordinals, got dtype {self.a_ep.dtype}")
         if n_e and (self.a_ep.min() < 0 or self.a_ep.max() >= n_p):
             raise IntegrityError(f"a_ep must hold one patient ordinal in 0..{n_p - 1} per encounter")
-        for name, mat in (("m_el", self.m_el), ("a_em", self.a_em)):
-            if not np.isin(mat, (0.0, 1.0)).all():
-                raise IntegrityError(f"{name} must be binary")
-        if ((self.a_el < 0.0) | (self.a_el > 1.0)).any():
-            raise IntegrityError("a_el entries must lie in [0, 1]")
-        if np.any(self.a_el[self.m_el == 0.0] != 0.0):
-            raise IntegrityError("a_el must be zero wherever m_el is zero")
-        if np.any(self.raw_el[self.m_el == 0.0] != 0.0):
-            raise IntegrityError("raw_el must be zero wherever m_el is zero")
+        if self.m_el.dtype != np.bool_:
+            raise IntegrityError(f"m_el must be a bool mask, got dtype {self.m_el.dtype}")
+        if not np.isin(self.a_em, (0.0, 1.0)).all():
+            raise IntegrityError("a_em must be binary")
+        if np.any(self.raw_el[~self.m_el] != 0.0):
+            raise IntegrityError("raw_el must be zero wherever m_el is False")
 
     def fingerprint(self) -> str:
         """Hash of all registry ID lists; binds plans and views to a graph."""
@@ -191,7 +199,6 @@ class MedGraph:
         return MedGraph(
             registry=self.registry.copy(),
             a_ep=self.a_ep.copy(),
-            a_el=self.a_el.copy(),
             m_el=self.m_el.copy(),
             a_em=self.a_em.copy(),
             raw_el=self.raw_el.copy(),
@@ -214,12 +221,11 @@ def normalize_lab(value: float, lab: int, lab_norm: np.ndarray) -> float:
 
 
 def _fit_ranges(raw_el: np.ndarray, visible: np.ndarray) -> np.ndarray:
-    """Per-lab (min, max) over entries where visible == 1; unobserved labs
+    """Per-lab (min, max) over the entries visible marks; unobserved labs
     get the degenerate (0, 0) range."""
-    seen = visible == 1.0
-    lo = np.min(np.where(seen, raw_el, np.inf), axis=0, initial=np.inf)
-    hi = np.max(np.where(seen, raw_el, -np.inf), axis=0, initial=-np.inf)
-    observed = seen.any(axis=0)
+    lo = np.min(np.where(visible, raw_el, np.inf), axis=0, initial=np.inf)
+    hi = np.max(np.where(visible, raw_el, -np.inf), axis=0, initial=-np.inf)
+    observed = np.any(visible, axis=0)
     return np.column_stack([np.where(observed, lo, 0.0), np.where(observed, hi, 0.0)])
 
 
@@ -229,7 +235,7 @@ def _normalize_matrix(raw_el: np.ndarray, m_el: np.ndarray, lab_norm: np.ndarray
     lo, hi = lab_norm[:, 0], lab_norm[:, 1]
     degenerate = hi == lo
     scaled = np.clip((raw_el - lo) / np.where(degenerate, 1.0, hi - lo), 0.0, 1.0)
-    return np.where(m_el == 1.0, np.where(degenerate, 0.5, scaled), 0.0)
+    return np.where(m_el, np.where(degenerate, 0.5, scaled), 0.0)
 
 
 def _edge_ordinals(
@@ -280,10 +286,10 @@ def build_graph(
 
     n_e = registry.count(NodeType.ENCOUNTER)
     raw_el = np.zeros((n_e, registry.count(NodeType.LAB)))
-    m_el = np.zeros_like(raw_el)
+    m_el = np.zeros(raw_el.shape, dtype=bool)
     a_em = np.zeros((n_e, registry.count(NodeType.MEDICATION)))
     raw_el[labs[:, 0], labs[:, 1]] = [float(value) for _, _, value in lab_results]
-    m_el[labs[:, 0], labs[:, 1]] = 1.0
+    m_el[labs[:, 0], labs[:, 1]] = True
     a_em[meds[:, 0], meds[:, 1]] = 1.0
     return assemble_graph(registry, np.array(a_ep, dtype=np.int64), raw_el, m_el, a_em)
 
@@ -296,12 +302,13 @@ def assemble_graph(
     a_em: np.ndarray,
 ) -> MedGraph:
     """Build a MedGraph from each encounter's patient ordinal (a_ep) and
-    prebuilt lab and medication matrices: fit lab ranges over every
-    observed entry, normalize, and validate."""
-    raw_el = np.where(m_el == 1.0, raw_el, 0.0)
-    lab_norm = _fit_ranges(raw_el, m_el)
-    a_el = _normalize_matrix(raw_el, m_el, lab_norm)
-    graph = MedGraph(registry, np.asarray(a_ep, dtype=np.int64), a_el, np.asarray(m_el, dtype=np.float64), np.asarray(a_em, dtype=np.float64), raw_el, lab_norm)
+    prebuilt lab and medication matrices (m_el holds 0/1 or bool): fit lab
+    ranges over every observed entry and validate."""
+    if not np.isin(m_el, (0, 1)).all():
+        raise IntegrityError("m_el must be binary")
+    m_el = np.asarray(m_el, dtype=bool)
+    raw_el = np.where(m_el, raw_el, 0.0)
+    graph = MedGraph(registry, np.asarray(a_ep, dtype=np.int64), m_el, np.asarray(a_em, dtype=np.float64), raw_el, _fit_ranges(raw_el, m_el))
     graph.validate()
     return graph
 
@@ -353,7 +360,7 @@ def make_split(
     if task == MEDICATION_TASK:
         items = np.arange(graph.n_encounters)
     else:
-        items = np.argwhere(graph.m_el == 1.0)
+        items = np.argwhere(graph.m_el)
     n = len(items)
     if n < 3:
         raise SplitError(f"need at least 3 items to split, got {n}")
@@ -375,7 +382,7 @@ def apply_split_masking(graph: MedGraph, plan: SplitPlan) -> MedGraph:
     """Return a training view with held-out targets removed.
 
     Medication plans zero the a_em rows of val/test encounters; imputation
-    plans zero a_el, raw_el, and m_el at val/test edges.  The input graph
+    plans clear raw_el and m_el at val/test edges.  The input graph
     is left untouched; evaluation reads targets from it.
     """
     _require_plan_match(graph, plan)
@@ -386,20 +393,18 @@ def apply_split_masking(graph: MedGraph, plan: SplitPlan) -> MedGraph:
     else:
         for part in (plan.val, plan.test):
             if len(part):
-                view.a_el[part[:, 0], part[:, 1]] = 0.0
                 view.raw_el[part[:, 0], part[:, 1]] = 0.0
-                view.m_el[part[:, 0], part[:, 1]] = 0.0
+                view.m_el[part[:, 0], part[:, 1]] = False
     view.validate()
     return view
 
 
 def refit_lab_normalization(graph: MedGraph, plan: Optional[SplitPlan] = None) -> MedGraph:
-    """Recompute lab ranges from training-visible observations and
-    renormalize a_el from raw values everywhere observed.
+    """A copy whose lab ranges are refit from training-visible observations.
 
     With an imputation plan, only its train edges contribute to the ranges;
     without one (or for a medication plan) every observed edge does.
-    Held-out entries keep their normalized targets under the refit ranges,
+    Held-out entries stay observed and normalize under the refit ranges,
     which is what evaluation compares against.
     """
     out = graph.copy()
@@ -408,11 +413,10 @@ def refit_lab_normalization(graph: MedGraph, plan: Optional[SplitPlan] = None) -
     if plan is not None and plan.task == IMPUTATION_TASK:
         visible = np.zeros_like(graph.m_el)
         if len(plan.train):
-            visible[plan.train[:, 0], plan.train[:, 1]] = 1.0
+            visible[plan.train[:, 0], plan.train[:, 1]] = True
     else:
         visible = graph.m_el
     out.lab_norm = _fit_ranges(graph.raw_el, visible)
-    out.a_el = _normalize_matrix(graph.raw_el, graph.m_el, out.lab_norm)
     out.validate()
     return out
 
@@ -455,18 +459,12 @@ def graph_stats(graph: MedGraph) -> GraphStats:
     stats = GraphStats(
         counts={t.value: graph.registry.count(t) for t in NODE_TYPES},
     )
-    ep_edges = n_e
-    el_edges = int(graph.m_el.sum())
-    em_edges = int(np.count_nonzero(graph.a_em))
-    stats.matrices.append(
-        MatrixStats("a_ep", n_e, graph.n_patients, ep_edges, sparsity(n_e, graph.n_patients, ep_edges), "binary")
-    )
-    stats.matrices.append(
-        MatrixStats("a_el", n_e, graph.n_labs, el_edges, sparsity(n_e, graph.n_labs, el_edges), "real")
-    )
-    stats.matrices.append(
-        MatrixStats("a_em", n_e, graph.n_medications, em_edges, sparsity(n_e, graph.n_medications, em_edges), "binary")
-    )
+    for name, cols, edges, kind in (
+        ("a_ep", graph.n_patients, n_e, "binary"),
+        ("a_el", graph.n_labs, int(np.count_nonzero(graph.m_el)), "real"),
+        ("a_em", graph.n_medications, int(np.count_nonzero(graph.a_em)), "binary"),
+    ):
+        stats.matrices.append(MatrixStats(name, n_e, cols, edges, sparsity(n_e, cols, edges), kind))
     return stats
 
 
@@ -478,8 +476,9 @@ def add_encounter(
 ) -> int:
     """Append one encounter in place and return its ordinal.
 
-    Lab values normalize under the frozen training ranges (clamped); the
-    medication row starts all zero.  Patient and labs must already exist.
+    Lab values are stored raw and read normalized under the graph's
+    frozen ranges (clamped); the medication row starts all zero.  Patient
+    and labs must already exist.
     """
     p = graph.registry.ordinal(NodeType.PATIENT, patient_id)
     resolved: list[tuple[int, float]] = []
@@ -500,25 +499,25 @@ def add_encounter(
 
     cols = [j for j, _ in resolved]
     raw = np.zeros((1, graph.n_labs))
-    mask = np.zeros_like(raw)
+    mask = np.zeros(raw.shape, dtype=bool)
     raw[0, cols] = [value for _, value in resolved]
-    mask[0, cols] = 1.0
+    mask[0, cols] = True
     graph.a_ep = np.append(graph.a_ep, np.int64(p))
-    graph.a_el = np.vstack([graph.a_el, _normalize_matrix(raw, mask, graph.lab_norm)])
     graph.m_el = np.vstack([graph.m_el, mask])
     graph.a_em = np.vstack([graph.a_em, np.zeros((1, graph.n_medications))])
     graph.raw_el = np.vstack([graph.raw_el, raw])
     return ordinal
 
 
-# Stored arrays in file order with their on-disk dtypes.
-_ARRAY_DTYPES = {"a_ep": "<i8", "a_el": "<f8", "m_el": "<f8", "a_em": "<f8", "raw_el": "<f8"}
+# Stored arrays in file order with their on-disk dtypes; the bool mask is
+# stored as one 0/1 byte per cell.
+_ARRAY_DTYPES = {"a_ep": "<i8", "m_el": "|u1", "a_em": "<f8", "raw_el": "<f8"}
 
 
 def save_graph(graph: MedGraph, path) -> None:
-    """Single-file format: magic line, one-line JSON header, then a_ep as
-    little-endian int64 and the four matrices as row-major little-endian
-    float64, in fixed order."""
+    """Single-file format: magic line, one-line JSON header, then the
+    arrays row-major in _ARRAY_DTYPES order: a_ep as little-endian int64,
+    m_el as 0/1 bytes, a_em and raw_el as little-endian float64."""
     graph.validate()
     header = {
         "counts": {t.value: graph.registry.count(t) for t in NODE_TYPES},
@@ -536,12 +535,53 @@ def save_graph(graph: MedGraph, path) -> None:
             f.write(np.ascontiguousarray(getattr(graph, name), dtype=dtype).tobytes())
 
 
+def _read_header(header) -> tuple[NodeRegistry, np.ndarray, list[dict]]:
+    """The registry, lab ranges and array entries of a graph file header,
+    each checked for presence and type."""
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            raise IntegrityError(f"corrupt graph header: {what}")
+
+    need(isinstance(header, dict), "not a JSON object")
+    ids, lab_norm, arrays = header.get("ids"), header.get("lab_norm"), header.get("arrays")
+    need(
+        isinstance(ids, dict) and all(
+            isinstance(ids.get(t.value), list) and all(isinstance(i, str) for i in ids[t.value]) for t in NODE_TYPES
+        ),
+        "'ids' must map each node type to a list of string IDs",
+    )
+    registry = NodeRegistry()
+    for t in NODE_TYPES:
+        for external_id in ids[t.value]:
+            registry.add(t, external_id)
+    bad_norm = "'lab_norm' must hold a (min, max) pair per lab"
+    need(isinstance(lab_norm, list), bad_norm)
+    try:
+        lab_norm = np.array(lab_norm, dtype=np.float64).reshape(registry.count(NodeType.LAB), 2)
+    except (TypeError, ValueError):
+        raise IntegrityError(f"corrupt graph header: {bad_norm}") from None
+    need(
+        isinstance(arrays, list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("dtype"), str)
+            and isinstance(e.get("shape"), list) and all(isinstance(n, int) and n >= 0 for n in e["shape"])
+            for e in arrays
+        ),
+        "'arrays' must list entries with a name, a shape and a dtype",
+    )
+    for e in arrays:
+        if _ARRAY_DTYPES.get(e["name"]) != e["dtype"]:
+            raise IntegrityError(f"graph file array {e['name']!r} has unexpected dtype {e['dtype']!r}")
+    missing = sorted(set(_ARRAY_DTYPES) - {e["name"] for e in arrays})
+    need(not missing, f"no entry for array {', '.join(missing)}")
+    return registry, lab_norm, arrays
+
+
 def load_graph(path) -> MedGraph:
     with open(path, "rb") as f:
         magic = f.readline().rstrip(b"\n")
-        if magic == _OLD_MAGIC:
+        if magic in _OLD_MAGICS:
             raise IntegrityError(
-                f"{path} is in the old {_OLD_MAGIC.decode()} graph format; "
+                f"{path} is in the old {magic.decode()} graph format; "
                 "rerun `medgcn build-graph` to rewrite it"
             )
         if magic != MAGIC:
@@ -550,30 +590,17 @@ def load_graph(path) -> MedGraph:
             header = json.loads(f.readline().decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise IntegrityError(f"corrupt graph header: {exc}") from None
-        registry = NodeRegistry()
-        for t in NODE_TYPES:
-            for external_id in header["ids"][t.value]:
-                registry.add(t, external_id)
+        registry, lab_norm, entries = _read_header(header)
         mats: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            name, shape = entry["name"], tuple(entry["shape"])
-            if _ARRAY_DTYPES.get(name) != entry["dtype"]:
-                raise IntegrityError(f"graph file array {name!r} has unexpected dtype {entry['dtype']!r}")
-            dtype = np.dtype(entry["dtype"])
+        for entry in entries:
+            name, shape, dtype = entry["name"], tuple(entry["shape"]), np.dtype(entry["dtype"])
             n_bytes = int(np.prod(shape)) * dtype.itemsize
             raw = f.read(n_bytes)
             if len(raw) != n_bytes:
                 raise IntegrityError(f"graph file truncated in array {name}")
             mats[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type)
-    lab_norm = np.array(header["lab_norm"], dtype=np.float64).reshape(registry.count(NodeType.LAB), 2)
-    graph = MedGraph(
-        registry,
-        mats["a_ep"],
-        mats["a_el"],
-        mats["m_el"],
-        mats["a_em"],
-        mats["raw_el"],
-        lab_norm,
-    )
+    if np.any(mats["m_el"] > 1):
+        raise IntegrityError("graph file array m_el holds a byte other than 0 or 1")
+    graph = MedGraph(registry, mats["a_ep"], mats["m_el"].astype(bool), mats["a_em"], mats["raw_el"], lab_norm)
     graph.validate()
     return graph

@@ -23,7 +23,7 @@ medication probabilities (N_E x N_M) and normalized lab values
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -62,13 +62,7 @@ class Hyper:
             raise ParameterError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_dim": self.hidden_dim,
-            "n_layers": self.n_layers,
-            "dropout": self.dropout,
-            "activation": self.activation,
-            "normalize_adjacency": self.normalize_adjacency,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Hyper":
@@ -163,18 +157,21 @@ def _take_adjacency_rows(adj: Adjacency, rows: np.ndarray) -> Adjacency:
     return Membership(adj.index[rows], adj.n_groups)
 
 
-def _encounter_sources(graph: MedGraph) -> dict[str, Adjacency]:
-    """The adjacencies encounters aggregate from, keyed by source type."""
+def _encounter_sources(graph: MedGraph, rows=slice(None)) -> dict[str, Adjacency]:
+    """The adjacencies encounters aggregate from, keyed by source type,
+    restricted to the encounter rows selected by rows; only those rows'
+    labs are normalized."""
     _, p, l, m = TYPE_ORDER
-    return {p: Membership(graph.a_ep, graph.n_patients), l: graph.a_el, m: graph.a_em}
+    return {p: Membership(graph.a_ep[rows], graph.n_patients), l: graph.lab_rows(rows), m: graph.a_em[rows]}
 
 
 def make_view(graph: MedGraph, normalize_adjacency: bool = False) -> TypedGraphView:
     e, p, l, m = TYPE_ORDER
+    sources = _encounter_sources(graph)
     mats: dict[tuple[str, str], Adjacency] = {
-        **{(e, src): adj for src, adj in _encounter_sources(graph).items()},
+        **{(e, src): adj for src, adj in sources.items()},
         (p, e): Membership(graph.a_ep, graph.n_patients, transposed=True),
-        (l, e): graph.a_el.T,
+        (l, e): sources[l].T,
         (m, e): graph.a_em.T,
     }
     if normalize_adjacency:
@@ -221,9 +218,6 @@ class MedGcnModel:
                 params.append(layer[t])
         params.extend([self.head_med_w, self.head_med_b, self.head_lab_w, self.head_lab_b])
         return params
-
-    def n_parameters(self) -> int:
-        return sum(p.values.size for p in self.parameters())
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -414,18 +408,16 @@ def _forward_rows(
     """forward(..., rows=rows): the last layer's encounter rows from their
     own adjacency rows, then the heads on those rows."""
     normalize = model.hyper.normalize_adjacency
-    if isinstance(graph, MedGraph):
-        counts = {t.value: graph.registry.count(t) for t in NodeType}
-        sources = _encounter_sources(graph)
-    else:
-        counts = graph.counts
-        sources = {src: adj for (dst, src), adj in graph.adjacency.items() if dst == ENCOUNTER}
+    counts = {t.value: graph.registry.count(t) for t in NodeType} if isinstance(graph, MedGraph) else graph.counts
     rows = _check_rows(rows, counts[ENCOUNTER])
-    sources = {src: _take_adjacency_rows(adj, rows) for src, adj in sources.items()}
-    if normalize and isinstance(graph, MedGraph):
-        # Normalized after slicing, so the cost stays with the rows; a
-        # row's sum is the same either way.  A view comes as it was built.
-        sources = {src: _row_normalize(adj) for src, adj in sources.items()}
+    if isinstance(graph, MedGraph):
+        sources = _encounter_sources(graph, rows)
+        if normalize:
+            # Normalized after slicing, so the cost stays with the rows; a
+            # row's sum is the same either way.  A view comes as it was built.
+            sources = {src: _row_normalize(adj) for src, adj in sources.items()}
+    else:
+        sources = {src: _take_adjacency_rows(adj, rows) for (dst, src), adj in graph.adjacency.items() if dst == ENCOUNTER}
     feats: Features = dict(features) if features is not None else {}
     *earlier, last = model.layers
     if earlier:
@@ -508,9 +500,17 @@ def model_from_bytes(blob: bytes) -> MedGcnModel:
         header = json.loads(blob[newline + 1 : header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
+    try:
+        return _model_from_header(header, blob, header_end + 1)
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint missing field {exc}") from None
+    except (TypeError, ValueError, ParameterError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
 
+
+def _model_from_header(header: dict, blob: bytes, offset: int) -> MedGcnModel:
     hyper = Hyper.from_dict(header["hyper"])
-    offset = header_end + 1
+    hyper.validate()
     weights: dict[str, Tensor] = {}
     for entry in header["weights"]:
         n = entry["rows"] * entry["cols"] * 8
@@ -529,20 +529,17 @@ def model_from_bytes(blob: bytes) -> MedGcnModel:
             layers.append({t: weights[f"layer{k}/{t}"] for t in TYPE_ORDER})
         except KeyError as exc:
             raise CheckpointError(f"checkpoint missing weight {exc}") from None
-    try:
-        return MedGcnModel(
-            hyper,
-            layers,
-            weights["head_med/w"],
-            weights["head_med/b"],
-            weights["head_lab/w"],
-            weights["head_lab/b"],
-            {k: int(v) for k, v in header["trained_counts"].items()},
-            {k: int(v) for k, v in header["feat_dims"].items()},
-            header["graph_binding"],
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint missing field {exc}") from None
+    return MedGcnModel(
+        hyper,
+        layers,
+        weights["head_med/w"],
+        weights["head_med/b"],
+        weights["head_lab/w"],
+        weights["head_lab/b"],
+        {k: int(v) for k, v in header["trained_counts"].items()},
+        {k: int(v) for k, v in header["feat_dims"].items()},
+        header["graph_binding"],
+    )
 
 
 def save_model(model: MedGcnModel, path) -> None:
@@ -575,8 +572,3 @@ def verify_model_graph(model: MedGcnModel, graph: MedGraph) -> None:
         )
     if graph.encounter_prefix_sha(n_trained) != binding["type_shas"][ENCOUNTER]:
         raise CheckpointError("checkpoint was trained on different encounter nodes")
-
-
-def clone_model(model: MedGcnModel) -> MedGcnModel:
-    """Deep copy through the checkpoint image (shares nothing)."""
-    return model_from_bytes(model_to_bytes(model))

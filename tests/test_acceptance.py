@@ -205,7 +205,7 @@ def test_criterion_06_synthetic_benchmark(default_cohort):
     plan_med = make_split(graph, MEDICATION_TASK, RATIOS, 0)
     plan_lab = make_split(graph, IMPUTATION_TASK, RATIOS, 0)
     config = TrainConfig(
-        lam=1.0, lr=0.001, max_epochs=300, patience=50, dropout=0.1, seed=0,
+        lam=1.0, lr=0.001, max_epochs=300, patience=50, seed=0,
         task_mode=TASK_BOTH,
     )
     model, _ = train(graph, plan_med, plan_lab, config, Hyper(hidden_dim=300, dropout=0.1))
@@ -235,7 +235,7 @@ def test_criterion_07_cross_regularization_trend(default_cohort):
         plan_lab = make_split(graph, IMPUTATION_TASK, RATIOS, seed)
         metric = "mse" if task == TASK_LAB else "lrap"
         config = TrainConfig(
-            lam=1.0, lr=0.001, max_epochs=150, patience=150, dropout=0.1,
+            lam=1.0, lr=0.001, max_epochs=150, patience=150,
             seed=seed, task_mode=task, val_metric=metric,
         )
         model, _ = train(graph, plan_med, plan_lab, config, Hyper(hidden_dim=300, dropout=0.1))

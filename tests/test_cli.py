@@ -142,6 +142,14 @@ class TestGraphCommands:
         capsys.readouterr()
         assert sorted(names) == sorted(["patients.csv", "encounters.csv", "lab_results.csv", "prescriptions.csv"])
 
+    @pytest.mark.parametrize("header", [b"{}", b"[]", b'{"ids": 5, "lab_norm": [], "arrays": []}'])
+    def test_stats_on_a_malformed_graph_header_exits_2(self, tmp_path, capsys, header):
+        path = tmp_path / "graph.bin"
+        path.write_bytes(b"MEDGRAPH3\n" + header + b"\n")
+        assert main(["stats", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt graph header")
+
     def test_stats_two_decimal_sparsity(self, cohort_dir, capsys):
         assert main(["stats", "--data", str(cohort_dir)]) == 0
         out = capsys.readouterr().out
@@ -232,6 +240,49 @@ class TestEvaluate:
         capsys.readouterr()
 
 
+def _rewrite_checkpoint_header(blob, edit):
+    """The checkpoint blob with its JSON header replaced by edit(header)."""
+    magic_end = blob.index(b"\n")
+    header_end = blob.index(b"\n", magic_end + 1)
+    header = json.loads(blob[magic_end + 1 : header_end])
+    return blob[: magic_end + 1] + json.dumps(edit(header)).encode() + blob[header_end:]
+
+
+# Each case maps a valid checkpoint header to a malformed one.
+MALFORMED_CHECKPOINTS = {
+    "not_an_object": lambda h: [h],
+    "hyper_missing": lambda h: {k: v for k, v in h.items() if k != "hyper"},
+    "weights_missing": lambda h: {k: v for k, v in h.items() if k != "weights"},
+    "unknown_hyper_key": lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}},
+    "unknown_activation": lambda h: {**h, "hyper": {**h["hyper"], "activation": "tanh"}},
+    "negative_dropout": lambda h: {**h, "hyper": {**h["hyper"], "dropout": -0.5}},
+}
+
+
+class TestMalformedCheckpoint:
+    def _recommend(self, cohort_dir, path, capsys):
+        code = main(["recommend", "--checkpoint", str(path), "--data", str(cohort_dir), "--encounter", "E3"])
+        return code, capsys.readouterr().err
+
+    def test_empty_header_exits_4(self, cohort_dir, tmp_path, capsys):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"MEDGCN1\n{}\n")
+        code, err = self._recommend(cohort_dir, path, capsys)
+        assert code == 4 and "hyper" in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_header_exits_4(self, cohort_dir, checkpoint, tmp_path, capsys, case):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(_rewrite_checkpoint_header(checkpoint.read_bytes(), MALFORMED_CHECKPOINTS[case]))
+        code, err = self._recommend(cohort_dir, path, capsys)
+        assert code == 4 and err.startswith("error: ")
+
+    def test_unchanged_header_still_loads(self, cohort_dir, checkpoint, tmp_path, capsys):
+        path = tmp_path / "same.ckpt"
+        path.write_bytes(_rewrite_checkpoint_header(checkpoint.read_bytes(), lambda h: h))
+        assert self._recommend(cohort_dir, path, capsys)[0] == 0
+
+
 class TestRecommendImpute:
     def test_recommend_lists_all_meds_descending(self, cohort_dir, checkpoint, capsys):
         code = main(
@@ -269,6 +320,27 @@ class TestRecommendImpute:
         flags = {ln.split()[-1] for ln in lines if ln.strip()}
         assert flags == {"observed", "imputed"}
         assert len(lines) == 10
+
+    def test_impute_reads_only_the_queried_lab_row(self, cohort_dir, checkpoint, monkeypatch, capsys):
+        import medgcn.cli as cli_mod
+        from medgcn.graph import MedGraph
+
+        args = ["impute", "--checkpoint", str(checkpoint), "--data", str(cohort_dir), "--encounter", "E3"]
+        assert main(args) == 0
+        expected = capsys.readouterr().out
+        load = cli_mod.load_csv_bundle
+
+        def refuse(graph):
+            raise AssertionError("impute read the full normalized lab matrix")
+
+        def load_then_refuse_full_reads(directory):
+            graph = load(directory)
+            monkeypatch.setattr(MedGraph, "a_el", property(refuse))
+            return graph
+
+        monkeypatch.setattr(cli_mod, "load_csv_bundle", load_then_refuse_full_reads)
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected
 
     def test_inductive_matches_transductive(self, cohort_dir, checkpoint, tmp_path, capsys):
         args = [

@@ -1,5 +1,8 @@
 """Graph construction, normalization, splitting, masking, and persistence."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from medgcn.graph import (
     _normalize_matrix,
     add_encounter,
     apply_split_masking,
+    assemble_graph,
     build_graph,
     graph_stats,
     load_graph,
@@ -25,6 +29,56 @@ from medgcn.graph import (
 )
 
 from conftest import TOY_ENCOUNTERS, TOY_LAB_RESULTS, TOY_PATIENTS, TOY_PRESCRIPTIONS, make_toy_graph
+
+
+class TestStoredLabs:
+    def test_no_normalized_matrix_is_stored(self, toy_graph):
+        names = {f.name for f in dataclasses.fields(MedGraph)}
+        assert names == {"registry", "a_ep", "m_el", "a_em", "raw_el", "lab_norm"}
+        with pytest.raises(AttributeError):
+            toy_graph.a_el = np.zeros((4, 3))
+
+    def test_a_el_is_derived_from_raw_values(self, toy_graph):
+        want = _normalize_matrix(toy_graph.raw_el, toy_graph.m_el, toy_graph.lab_norm)
+        assert toy_graph.a_el.tobytes() == want.tobytes()
+        toy_graph.lab_norm[0] = (0.0, 20.0)
+        assert toy_graph.a_el[0, 0] == 0.25
+        np.testing.assert_array_equal(toy_graph.lab_rows([3, 0]), toy_graph.a_el[[3, 0]])
+
+    def test_mask_stays_bool(self, toy_graph, tmp_path):
+        def is_bool(graph):
+            return graph.m_el.dtype == np.bool_
+
+        assert is_bool(toy_graph)
+        float_mask = toy_graph.m_el.astype(np.float64)
+        assembled = assemble_graph(
+            toy_graph.registry.copy(), toy_graph.a_ep, toy_graph.raw_el, float_mask, toy_graph.a_em
+        )
+        assert is_bool(assembled)
+        np.testing.assert_array_equal(assembled.m_el, toy_graph.m_el)
+        copied = toy_graph.copy()
+        assert is_bool(copied)
+        add_encounter(copied, "P1", [("L2", 120.0)])
+        assert is_bool(copied) and copied.m_el[4].tolist() == [False, True, False]
+        for task in (MEDICATION_TASK, IMPUTATION_TASK):
+            plan = make_split(toy_graph, task, (0.6, 0.2, 0.2), seed=1)
+            assert is_bool(apply_split_masking(toy_graph, plan))
+        save_graph(copied, tmp_path / "g.medgraph")
+        loaded = load_graph(tmp_path / "g.medgraph")
+        assert is_bool(loaded)
+        np.testing.assert_array_equal(loaded.m_el, copied.m_el)
+
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
+    def test_assemble_rejects_a_non_binary_mask(self, toy_graph, bad):
+        mask = toy_graph.m_el.astype(np.float64)
+        mask[1, 1] = bad
+        with pytest.raises(IntegrityError, match="m_el must be binary"):
+            assemble_graph(toy_graph.registry.copy(), toy_graph.a_ep, toy_graph.raw_el, mask, toy_graph.a_em)
+
+    def test_validate_wants_a_bool_mask(self, toy_graph):
+        toy_graph.m_el = toy_graph.m_el.astype(np.float64)
+        with pytest.raises(IntegrityError, match="bool mask"):
+            toy_graph.validate()
 
 
 class TestBuildGraph:
@@ -389,9 +443,9 @@ class TestAddEncounter:
         # inside, below and above them; L4 gets a degenerate 2..2 range.
         toy_graph.lab_norm = np.vstack([toy_graph.lab_norm, [2.0, 2.0]])
         toy_graph.registry.add(NodeType.LAB, "L4")
-        for name in ("a_el", "m_el", "raw_el"):
+        for name in ("m_el", "raw_el"):
             mat = getattr(toy_graph, name)
-            setattr(toy_graph, name, np.hstack([mat, np.zeros((mat.shape[0], 1))]))
+            setattr(toy_graph, name, np.hstack([mat, np.zeros((mat.shape[0], 1), dtype=mat.dtype)]))
         cases = [
             [("L1", 3.7), ("L2", 99.0), ("L3", 0.9), ("L4", 5.0)],
             [("L3", 0.55), ("L1", -4.0), ("L2", 140.0)],
@@ -449,9 +503,10 @@ class TestSerialization:
 
     def test_old_format_names_the_fix(self, tmp_path):
         path = tmp_path / "old.medgraph"
-        path.write_bytes(b"MEDGRAPH1\n{}\n")
-        with pytest.raises(IntegrityError, match="MEDGRAPH1.*rerun `medgcn build-graph`"):
-            load_graph(path)
+        for magic in ("MEDGRAPH1", "MEDGRAPH2"):
+            path.write_bytes(magic.encode() + b"\n{}\n")
+            with pytest.raises(IntegrityError, match=f"{magic}.*rerun `medgcn build-graph`"):
+                load_graph(path)
 
     def test_truncated_file(self, toy_graph, tmp_path):
         path = tmp_path / "g.medgraph"
@@ -470,3 +525,73 @@ class TestSerialization:
         loaded = load_graph(path)
         np.testing.assert_array_equal(loaded.raw_el, g.raw_el)
         np.testing.assert_array_equal(loaded.lab_norm, g.lab_norm)
+
+
+def _split_graph_file(path):
+    """(magic line, header dict, payload bytes) of a saved graph file."""
+    blob = path.read_bytes()
+    magic_end = blob.index(b"\n")
+    header_end = blob.index(b"\n", magic_end + 1)
+    return blob[:magic_end], json.loads(blob[magic_end + 1 : header_end]), blob[header_end + 1 :]
+
+
+def _write_graph_file(path, magic, header, payload):
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+
+
+def _drop(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+# Each case maps a valid header to a malformed one.
+MALFORMED_HEADERS = {
+    "not_an_object": lambda h: [h],
+    "empty": lambda h: {},
+    "ids_missing": lambda h: _drop(h, "ids"),
+    "ids_a_list": lambda h: {**h, "ids": list(h["ids"].values())},
+    "ids_type_missing": lambda h: {**h, "ids": _drop(h["ids"], "lab")},
+    "ids_not_strings": lambda h: {**h, "ids": {**h["ids"], "patient": [1, 2]}},
+    "lab_norm_missing": lambda h: _drop(h, "lab_norm"),
+    "lab_norm_a_string": lambda h: {**h, "lab_norm": "0,1"},
+    "lab_norm_ragged": lambda h: {**h, "lab_norm": [[0.0, 1.0], [2.0]]},
+    "lab_norm_wrong_count": lambda h: {**h, "lab_norm": h["lab_norm"][:-1]},
+    "arrays_missing": lambda h: _drop(h, "arrays"),
+    "arrays_an_object": lambda h: {**h, "arrays": {"a_ep": h["arrays"][0]}},
+    "entry_without_name": lambda h: {**h, "arrays": [_drop(h["arrays"][0], "name"), *h["arrays"][1:]]},
+    "entry_without_shape": lambda h: {**h, "arrays": [_drop(h["arrays"][0], "shape"), *h["arrays"][1:]]},
+    "entry_without_dtype": lambda h: {**h, "arrays": [_drop(h["arrays"][0], "dtype"), *h["arrays"][1:]]},
+    "shape_not_integers": lambda h: {**h, "arrays": [{**h["arrays"][0], "shape": ["4"]}, *h["arrays"][1:]]},
+    "mask_entry_missing": lambda h: {**h, "arrays": [e for e in h["arrays"] if e["name"] != "m_el"]},
+}
+
+
+class TestMalformedGraphFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+    def test_header_is_an_integrity_error(self, toy_graph, tmp_path, case):
+        path = tmp_path / "g.medgraph"
+        save_graph(toy_graph, path)
+        magic, header, payload = _split_graph_file(path)
+        _write_graph_file(path, magic, MALFORMED_HEADERS[case](header), payload)
+        with pytest.raises(IntegrityError):
+            load_graph(path)
+
+    def test_mask_byte_other_than_0_or_1(self, toy_graph, tmp_path):
+        path = tmp_path / "g.medgraph"
+        save_graph(toy_graph, path)
+        magic, header, payload = _split_graph_file(path)
+        assert [e["name"] for e in header["arrays"]][:2] == ["a_ep", "m_el"]
+        mask_start = toy_graph.a_ep.nbytes
+        assert payload[mask_start] == 1  # E1 observes L1
+        _write_graph_file(path, magic, header, payload[:mask_start] + b"\x02" + payload[mask_start + 1 :])
+        with pytest.raises(IntegrityError, match="byte other than 0 or 1"):
+            load_graph(path)
+
+    def test_graph_file_stores_the_mask_as_bytes(self, toy_graph, tmp_path):
+        path = tmp_path / "g.medgraph"
+        save_graph(toy_graph, path)
+        magic, header, payload = _split_graph_file(path)
+        assert magic == b"MEDGRAPH3"
+        assert {e["name"]: e["dtype"] for e in header["arrays"]} == {
+            "a_ep": "<i8", "m_el": "|u1", "a_em": "<f8", "raw_el": "<f8"
+        }
+        assert len(payload) == 4 * 8 + 4 * 3 + 4 * 3 * 8 + 4 * 3 * 8

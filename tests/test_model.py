@@ -464,6 +464,23 @@ class TestForwardRows:
         with pytest.raises(ParameterError):
             forward(model, toy_graph, rows=[0.5])
 
+    def test_one_row_forward_normalizes_one_lab_row(self, toy_graph, monkeypatch):
+        import medgcn.graph as graph_mod
+
+        model = init_model(toy_graph, SMALL, seed=8)
+        p_full, v_full, _ = forward(model, toy_graph)
+        normalize, shapes = graph_mod._normalize_matrix, []
+
+        def recorded(raw_el, m_el, lab_norm):
+            shapes.append(raw_el.shape)
+            return normalize(raw_el, m_el, lab_norm)
+
+        monkeypatch.setattr(graph_mod, "_normalize_matrix", recorded)
+        p, v, _ = forward(model, toy_graph, rows=[2])
+        assert shapes == [(1, toy_graph.n_labs)]
+        np.testing.assert_array_equal(p.values[0], p_full.values[2])
+        np.testing.assert_array_equal(v.values[0], v_full.values[2])
+
     def test_one_layer_embed_runs_no_full_graph_product(self, toy_graph, monkeypatch):
         import medgcn.autodiff as ad
         import medgcn.model as model_mod

@@ -86,7 +86,7 @@ class TestGeneration:
         low = generate_synthetic(SMALL)
         high_spec = SyntheticSpec(**{**SMALL.__dict__, "lab_observe_prob": 0.45})
         high = generate_synthetic(high_spec)
-        gained = high.graph.m_el - low.graph.m_el
+        gained = high.graph.m_el.astype(int) - low.graph.m_el.astype(int)
         assert (gained >= 0.0).all()
         assert gained.sum() > 0
         # shared edges carry identical raw values: same draw order, same noise

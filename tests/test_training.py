@@ -1,5 +1,7 @@
 """Loss definitions, cross-regularization wiring, and the training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,14 @@ class TestPrepareTrainingData:
         with pytest.raises(ParameterError):
             prepare_training_data(g, plan_lab, plan_med)
 
+    def test_lab_targets_give_the_view_loss(self):
+        g = make_toy_graph()
+        data = prepare_training_data(g, *toy_plans(g))
+        np.testing.assert_array_equal(data.lab_targets, data.full.a_el)
+        v = Tensor(np.full(data.lab_targets.shape, 0.3))
+        via_targets = loss_lab(v, data.lab_targets, data.view.m_el).item()
+        assert via_targets == loss_lab(v, data.view.a_el, data.view.m_el).item()
+
     def test_val_edge_mask_matches_plan(self):
         g = make_toy_graph()
         plan_med, plan_lab = toy_plans(g)
@@ -196,7 +206,7 @@ class TestPrepareTrainingData:
 
 
 def quick_config(**kw):
-    base = dict(lam=1.0, lr=0.01, max_epochs=25, patience=25, dropout=0.0, seed=1)
+    base = dict(lam=1.0, lr=0.01, max_epochs=25, patience=25, seed=1)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -267,6 +277,31 @@ class TestTrainLoop:
         g = make_toy_graph()
         with pytest.raises((TrainingError, NumericGuardError)):
             train(g, *toy_plans(g), quick_config(lr=1e9, max_epochs=50), FAST)
+
+    def test_dropout_lives_in_hyper_only(self):
+        assert "dropout" not in {f.name for f in dataclasses.fields(TrainConfig)}
+        g = make_toy_graph()
+        model, _ = train(g, *toy_plans(g), quick_config(max_epochs=2, patience=2))
+        assert model.hyper == Hyper()
+
+    def test_lab_matrix_normalized_a_fixed_number_of_times(self, monkeypatch):
+        # Renormalizing in every epoch would cost a full N_E x N_L pass each.
+        import medgcn.graph as graph_mod
+
+        normalize, calls = graph_mod._normalize_matrix, []
+
+        def counted(*args):
+            calls.append(1)
+            return normalize(*args)
+
+        monkeypatch.setattr(graph_mod, "_normalize_matrix", counted)
+        counts = []
+        for epochs in (2, 6):
+            g = make_toy_graph()
+            calls.clear()
+            train(g, *toy_plans(g), quick_config(max_epochs=epochs, patience=epochs), FAST)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_tsv_log_shape(self):
         g = make_toy_graph()
