@@ -6,10 +6,13 @@ Bundle layout (UTF-8, comma-separated, one header row):
   lab_results.csv    encounter_id,lab_code,value        (original units)
   prescriptions.csv  encounter_id,med_code
 
-Ingestion validates shape and references row by row so errors carry
-file:line positions, then delegates graph assembly to build_graph.  Rows
-for encounters that arrive after training (read_new_encounters) pass the
-same per-line checks.
+csv.reader tokenizes each file; the checks then run on whole columns
+with array operations (a dict lookup of a column for references, a
+first-index map or an (encounter, code) mask for repeats, float() and
+np.isfinite for values) and report the earliest offending file:line,
+naming the first check that line fails.  Graph assembly is left to
+build_graph.  Rows for encounters that arrive after training
+(read_new_encounters) pass the same checks.
 All numeric output uses repr, which round-trips float64 exactly.
 """
 
@@ -17,13 +20,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import IngestionError, ShapeError
-from .graph import MedGraph, NodeRegistry, NodeType, build_graph
+from .graph import Columns, MedGraph, NodeRegistry, NodeType, _first, _first_repeat, _pair_faults, build_graph
 
 BUNDLE_FILES = {
     "patients.csv": ["patient_id"],
@@ -35,23 +40,32 @@ BUNDLE_FILES = {
 GROUND_TRUTH_LABS = "true_labs.csv"
 GROUND_TRUTH_MEDS = "med_propensities.csv"
 
+# Rows per csv.reader chunk: below the garbage collector's first-generation
+# threshold (700 allocations), so a chunk's row lists are freed before a
+# collection can promote them to an older generation and rescan them.
+_CHUNK_ROWS = 256
+
 
 @dataclass
 class BundleRecords:
     patients: list[str]
-    encounters: list[tuple[str, str]]
-    lab_results: list[tuple[str, str, float]]
-    prescriptions: list[tuple[str, str]]
+    encounters: Columns  # (encounter_id, patient_id)
+    lab_results: Columns  # (encounter_id, lab_code, value)
+    prescriptions: Columns  # (encounter_id, med_code)
 
     def row_counts(self) -> dict[str, int]:
         rows = (self.patients, self.encounters, self.lab_results, self.prescriptions)
         return {name: len(r) for name, r in zip(BUNDLE_FILES, rows)}
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
+def _read_rows(path: Path, expected_header: list[str]) -> tuple[list[int], list[list[str]]]:
+    """The line number of each non-blank row after the header, and the
+    file's columns with every field stripped."""
     if not path.is_file():
         raise IngestionError(f"missing required file {path.name}")
-    rows: list[tuple[int, list[str]]] = []
+    width = len(expected_header)
+    linenos: list[int] = []
+    columns: list[list[str]] = [[] for _ in range(width)]
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
@@ -62,55 +76,72 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[s
             raise IngestionError(
                 f"{path.name}:1: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise IngestionError(
-                    f"{path.name}:{lineno}: expected {len(expected_header)} columns, got {len(row)}"
-                )
-            rows.append((lineno, [c.strip() for c in row]))
-    return rows
+        first = 2
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            lengths = list(map(len, rows))
+            if set(lengths) - {0, width}:
+                i = next(i for i, n in enumerate(lengths) if n not in (0, width))
+                raise IngestionError(f"{path.name}:{first + i}: expected {width} columns, got {lengths[i]}")
+            linenos.extend(compress(range(first, first + len(rows)), lengths))
+            rows = list(compress(rows, lengths))
+            for k, column in enumerate(columns):
+                column.extend(map(str.strip, map(itemgetter(k), rows)))
+            first += len(lengths)
+    return linenos, columns
+
+
+def _raise_earliest(name: str, linenos: list[int], faults) -> None:
+    """faults holds, per check in the order a row runs them, the index of
+    its first failing row (or None) and a message for that row.  Raises for
+    the earliest failing row, naming the first check it fails."""
+    found = [(i, k) for k, (i, _) in enumerate(faults) if i is not None]
+    if found:
+        i, k = min(found)
+        raise IngestionError(f"{name}:{linenos[i]}: {faults[k][1](i)}")
+
+
+def _parse_floats(values: list[str]) -> tuple[list[float], Optional[int]]:
+    """float() of each value up to the first that does not parse, and that
+    value's index (None if all parse)."""
+    parsed: list[float] = []
+    try:
+        parsed.extend(map(float, values))  # keeps the values parsed before a failure
+    except ValueError:
+        return parsed, len(parsed)
+    return parsed, None
 
 
 def _check_encounter_rows(
-    rows, patients: Optional[set[str]] = None, existing: Iterable[str] = ()
-) -> list[tuple[str, str]]:
+    linenos, columns, patients: Optional[NodeRegistry] = None, existing: Iterable[str] = ()
+) -> Columns:
     """encounters.csv rows in file order.  Rejects encounter IDs repeated in
-    the file or already in existing and, when a patient set is given,
+    the file or already in existing and, when a patient registry is given,
     patients outside it."""
-    encounters: list[tuple[str, str]] = []
-    seen: set[str] = set(existing)
-    for lineno, (eid, pid) in rows:
-        if eid in seen:
-            raise IngestionError(f"encounters.csv:{lineno}: duplicate encounter_id {eid!r}")
-        if patients is not None and pid not in patients:
-            raise IngestionError(f"encounters.csv:{lineno}: unknown patient_id {pid!r}")
-        seen.add(eid)
-        encounters.append((eid, pid))
-    return encounters
+    eids, pids = columns
+    existing = list(existing)
+    repeat = _first_repeat([*existing, *eids])
+    faults = [(None if repeat is None else repeat - len(existing), lambda i: f"duplicate encounter_id {eids[i]!r}")]
+    if patients is not None:
+        unknown = _first(patients.ordinals(NodeType.PATIENT, pids) < 0)
+        faults.append((unknown, lambda i: f"unknown patient_id {pids[i]!r}"))
+    _raise_earliest("encounters.csv", linenos, faults)
+    return Columns(eids, pids)
 
 
-def _check_lab_rows(rows, encounter_ids) -> list[tuple[str, str, float]]:
+def _check_lab_rows(linenos, columns, known: NodeRegistry) -> Columns:
     """lab_results.csv rows in file order with parsed values.  Rejects
-    encounters outside encounter_ids, a repeated (encounter, lab) pair,
-    and values that are not finite numbers."""
-    lab_results: list[tuple[str, str, float]] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, (eid, code, value) in rows:
-        if eid not in encounter_ids:
-            raise IngestionError(f"lab_results.csv:{lineno}: unknown encounter_id {eid!r}")
-        if (eid, code) in seen:
-            raise IngestionError(f"lab_results.csv:{lineno}: duplicate observation for {eid!r}, {code!r}")
-        try:
-            parsed = float(value)
-        except ValueError:
-            raise IngestionError(f"lab_results.csv:{lineno}: non-numeric value {value!r}") from None
-        if not np.isfinite(parsed):
-            raise IngestionError(f"lab_results.csv:{lineno}: non-finite value {value!r}")
-        seen.add((eid, code))
-        lab_results.append((eid, code, parsed))
-    return lab_results
+    encounters the registry lacks, a repeated (encounter, lab) pair, and
+    values that are not finite numbers."""
+    eids, codes, values = columns
+    unknown, repeat, _, _ = _pair_faults(known, eids, codes)
+    parsed, non_numeric = _parse_floats(values)
+    _raise_earliest("lab_results.csv", linenos, [
+        (unknown, lambda i: f"unknown encounter_id {eids[i]!r}"),
+        (repeat, lambda i: f"duplicate observation for {eids[i]!r}, {codes[i]!r}"),
+        (non_numeric, lambda i: f"non-numeric value {values[i]!r}"),
+        (_first(~np.isfinite(parsed)), lambda i: f"non-finite value {values[i]!r}"),
+    ])
+    return Columns(eids, codes, parsed)
 
 
 def read_bundle_records(directory) -> BundleRecords:
@@ -118,38 +149,30 @@ def read_bundle_records(directory) -> BundleRecords:
     directory = Path(directory)
     raw = {name: _read_rows(directory / name, header) for name, header in BUNDLE_FILES.items()}
 
-    patients: list[str] = []
-    seen_patients: set[str] = set()
-    for lineno, (pid,) in raw["patients.csv"]:
-        if pid in seen_patients:
-            raise IngestionError(f"patients.csv:{lineno}: duplicate patient_id {pid!r}")
-        seen_patients.add(pid)
-        patients.append(pid)
+    linenos, (patients,) = raw["patients.csv"]
+    repeat = _first_repeat(patients)
+    _raise_earliest("patients.csv", linenos, [(repeat, lambda i: f"duplicate patient_id {patients[i]!r}")])
+    known = NodeRegistry({NodeType.PATIENT: patients})
+    encounters = _check_encounter_rows(*raw["encounters.csv"], known)
+    known.extend(NodeType.ENCOUNTER, encounters.fields[0])
+    lab_results = _check_lab_rows(*raw["lab_results.csv"], known)
 
-    encounters = _check_encounter_rows(raw["encounters.csv"], seen_patients)
-    encounter_ids = {eid for eid, _ in encounters}
-    lab_results = _check_lab_rows(raw["lab_results.csv"], encounter_ids)
-
-    prescriptions: list[tuple[str, str]] = []
-    seen_med_pairs: set[tuple[str, str]] = set()
-    for lineno, (eid, code) in raw["prescriptions.csv"]:
-        if eid not in encounter_ids:
-            raise IngestionError(f"prescriptions.csv:{lineno}: unknown encounter_id {eid!r}")
-        if (eid, code) in seen_med_pairs:
-            raise IngestionError(f"prescriptions.csv:{lineno}: duplicate prescription for {eid!r}, {code!r}")
-        seen_med_pairs.add((eid, code))
-        prescriptions.append((eid, code))
-
-    return BundleRecords(patients, encounters, lab_results, prescriptions)
+    linenos, (eids, codes) = raw["prescriptions.csv"]
+    unknown, repeat, _, _ = _pair_faults(known, eids, codes)
+    _raise_earliest("prescriptions.csv", linenos, [
+        (unknown, lambda i: f"unknown encounter_id {eids[i]!r}"),
+        (repeat, lambda i: f"duplicate prescription for {eids[i]!r}, {codes[i]!r}"),
+    ])
+    return BundleRecords(patients, encounters, lab_results, Columns(eids, codes))
 
 
 def read_new_encounters(
     directory, existing_ids: Iterable[str] = ()
 ) -> list[tuple[str, str, list[tuple[str, float]]]]:
     """Encounters arriving after training: encounters.csv plus an optional
-    lab_results.csv, under the bundle's headers and per-line checks.  An
-    encounter ID already in existing_ids (the graph's encounters) counts
-    as a duplicate.
+    lab_results.csv, under the bundle's headers and checks.  An encounter
+    ID already in existing_ids (the graph's encounters) counts as a
+    duplicate.
 
     Returns (encounter_id, patient_id, [(lab_code, value), ...]) in
     encounters.csv order, each encounter's labs in lab_results.csv order.
@@ -158,12 +181,13 @@ def read_new_encounters(
     """
     directory = Path(directory)
     encounters = _check_encounter_rows(
-        _read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"]), existing=existing_ids
+        *_read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"]), existing=existing_ids
     )
     labs: dict[str, list[tuple[str, float]]] = {eid: [] for eid, _ in encounters}
     lab_path = directory / "lab_results.csv"
     if lab_path.is_file():
-        for eid, code, value in _check_lab_rows(_read_rows(lab_path, BUNDLE_FILES["lab_results.csv"]), labs):
+        rows = _read_rows(lab_path, BUNDLE_FILES["lab_results.csv"])
+        for eid, code, value in _check_lab_rows(*rows, NodeRegistry({NodeType.ENCOUNTER: encounters.fields[0]})):
             labs[eid].append((code, value))
     return [(eid, pid, labs[eid]) for eid, pid in encounters]
 

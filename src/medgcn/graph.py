@@ -32,10 +32,13 @@ float64 mask) formats are rejected.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,9 +65,25 @@ NODE_TYPES = (NodeType.ENCOUNTER, NodeType.PATIENT, NodeType.LAB, NodeType.MEDIC
 class NodeRegistry:
     """Ordered string-ID to dense-ordinal maps, one per node type."""
 
-    def __init__(self):
+    def __init__(self, ids: Optional[Mapping[NodeType, Sequence[str]]] = None):
+        """Registries holding ids[t] in order for each type t given, empty
+        otherwise.  Types fill in NODE_TYPES order; the first repeated ID
+        raises as add would."""
         self._ids: dict[NodeType, list[str]] = {t: [] for t in NODE_TYPES}
         self._index: dict[NodeType, dict[str, int]] = {t: {} for t in NODE_TYPES}
+        for t in NODE_TYPES:
+            if ids and t in ids:
+                self.extend(t, ids[t])
+
+    def extend(self, node_type: NodeType, external_ids: Sequence[str]) -> None:
+        """Append external_ids in order; a repeat of a registered or an
+        earlier ID raises as add would."""
+        known = self._ids[node_type]
+        repeat = _first_repeat([*known, *external_ids])
+        if repeat is not None:
+            raise IntegrityError(f"duplicate {node_type.value} id {external_ids[repeat - len(known)]!r}")
+        self._index[node_type].update(zip(external_ids, range(len(known), len(known) + len(external_ids))))
+        known.extend(external_ids)
 
     def add(self, node_type: NodeType, external_id: str) -> int:
         index = self._index[node_type]
@@ -75,17 +94,16 @@ class NodeRegistry:
         index[external_id] = ordinal
         return ordinal
 
-    def add_if_absent(self, node_type: NodeType, external_id: str) -> int:
-        existing = self._index[node_type].get(external_id)
-        if existing is not None:
-            return existing
-        return self.add(node_type, external_id)
-
     def ordinal(self, node_type: NodeType, external_id: str) -> int:
         try:
             return self._index[node_type][external_id]
         except KeyError:
             raise GraphLookupError(f"unknown {node_type.value} id {external_id!r}") from None
+
+    def ordinals(self, node_type: NodeType, external_ids: Sequence[str]) -> np.ndarray:
+        """int64 ordinal of each ID, -1 where it is not registered."""
+        found = map(self._index[node_type].get, external_ids, itertools.repeat(-1))
+        return np.fromiter(found, dtype=np.int64, count=len(external_ids))
 
     def contains(self, node_type: NodeType, external_id: str) -> bool:
         return external_id in self._index[node_type]
@@ -107,6 +125,40 @@ class NodeRegistry:
         out._ids = {t: list(ids) for t, ids in self._ids.items()}
         out._index = {t: dict(index) for t, index in self._index.items()}
         return out
+
+
+def _first_repeat(ids: Sequence[str]) -> Optional[int]:
+    """Index of the first ID equal to an earlier one, or None."""
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    if len(first) == len(ids):
+        return None
+    return next(i for i, key in enumerate(ids) if first[key] != i)
+
+
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first True in mask, or None."""
+    return int(np.argmax(mask)) if mask.any() else None
+
+
+def _pair_faults(
+    registry: NodeRegistry, eids: Sequence[str], codes: Sequence[str]
+) -> tuple[Optional[int], Optional[int], list[str], np.ndarray]:
+    """For (encounter, code) pairs: the index of the first with an unknown
+    encounter, the index of the first repeat before it, the distinct codes
+    in first-appearance order, and the int64 ordinals of the pairs before
+    the first unknown, one (encounter, code) row each."""
+    rows = registry.ordinals(NodeType.ENCOUNTER, eids)
+    unknown = _first(rows < 0)
+    distinct = list(dict.fromkeys(codes))
+    cols = np.fromiter(map(dict(zip(distinct, range(len(distinct)))).__getitem__, codes), np.int64, len(codes))
+    edges = np.column_stack([rows, cols])[:unknown]
+    seen = np.zeros((registry.count(NodeType.ENCOUNTER), len(distinct)), dtype=bool)
+    seen[edges[:, 0], edges[:, 1]] = True
+    repeat = None
+    if np.count_nonzero(seen) < len(edges):
+        _, first = np.unique(edges[:, 0] * len(distinct) + edges[:, 1], return_index=True)
+        repeat = _first(~np.isin(np.arange(len(edges)), first))
+    return unknown, repeat, distinct, edges
 
 
 def _sha256_lines(lines: Iterable[str]) -> str:
@@ -239,22 +291,44 @@ def _normalize_matrix(raw_el: np.ndarray, m_el: np.ndarray, lab_norm: np.ndarray
 
 
 def _edge_ordinals(
-    registry: NodeRegistry, pairs: Iterable[tuple[str, str]], target: NodeType, what: str
+    registry: NodeRegistry, eids: list[str], codes: list[str], target: NodeType, what: str
 ) -> np.ndarray:
     """(n, 2) int64 (encounter, target) ordinals of the pairs, registering
     target codes in first-appearance order.  Rejects unknown encounters
-    and repeated pairs."""
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for eid, code in pairs:
-        if not registry.contains(NodeType.ENCOUNTER, eid):
-            raise IntegrityError(f"{what} references unknown encounter {eid!r}")
-        edge = (registry.ordinal(NodeType.ENCOUNTER, eid), registry.add_if_absent(target, code))
-        if edge in seen:
-            raise IntegrityError(f"duplicate {what} for encounter {eid!r}, {target.value} {code!r}")
-        seen.add(edge)
-        edges.append(edge)
-    return np.array(edges, dtype=np.int64).reshape(-1, 2)
+    and repeated pairs, the earliest pair's fault first."""
+    unknown, repeat, distinct, edges = _pair_faults(registry, eids, codes)
+    if repeat is not None:
+        raise IntegrityError(f"duplicate {what} for encounter {eids[repeat]!r}, {target.value} {codes[repeat]!r}")
+    if unknown is not None:
+        raise IntegrityError(f"{what} references unknown encounter {eids[unknown]!r}")
+    registry.extend(target, distinct)
+    return edges
+
+
+class Columns(abc.Sequence):
+    """Records held as one list per field.  Reads as the sequence of tuples
+    it stands for, and gives build_graph its fields without rebuilding
+    them."""
+
+    def __init__(self, *fields: list):
+        self.fields = fields
+
+    def __len__(self) -> int:
+        return len(self.fields[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Columns(*(field[i] for field in self.fields))
+        return tuple(field[i] for field in self.fields)
+
+    def __iter__(self):
+        return zip(*self.fields)
+
+
+def _columns(records: Sequence[Sequence], width: int) -> list[list]:
+    if isinstance(records, Columns):
+        return list(records.fields)
+    return [list(map(itemgetter(k), records)) for k in range(width)]
 
 
 def build_graph(
@@ -267,31 +341,32 @@ def build_graph(
 
     Registries fill in first-appearance order: patients and encounters from
     their own record streams, labs and medications as their codes first
-    occur.  Initial normalization ranges cover every observation; callers
-    that split afterwards should refit_lab_normalization to keep held-out
-    values out of the ranges.
+    occur.  Of several faulty records the earliest is reported.  Initial
+    normalization ranges cover every observation; callers that split
+    afterwards should refit_lab_normalization to keep held-out values out
+    of the ranges.
     """
-    registry = NodeRegistry()
-    for pid in patients:
-        registry.add(NodeType.PATIENT, pid)
-    a_ep: list[int] = []
-    for eid, pid in encounters:
-        if not registry.contains(NodeType.PATIENT, pid):
-            raise IntegrityError(f"encounter {eid!r} references unknown patient {pid!r}")
-        registry.add(NodeType.ENCOUNTER, eid)
-        a_ep.append(registry.ordinal(NodeType.PATIENT, pid))
+    eids, pids = _columns(encounters, 2)
+    a_ep = NodeRegistry({NodeType.PATIENT: patients}).ordinals(NodeType.PATIENT, pids)
+    unknown = _first(a_ep < 0)
+    # Encounters register only up to the first unknown patient, so a
+    # repeated encounter ID before it is the error raised.
+    registry = NodeRegistry({NodeType.PATIENT: patients, NodeType.ENCOUNTER: eids[:unknown]})
+    if unknown is not None:
+        raise IntegrityError(f"encounter {eids[unknown]!r} references unknown patient {pids[unknown]!r}")
 
-    labs = _edge_ordinals(registry, ((eid, code) for eid, code, _ in lab_results), NodeType.LAB, "lab observation")
-    meds = _edge_ordinals(registry, prescriptions, NodeType.MEDICATION, "prescription")
+    lab_eids, lab_codes, values = _columns(lab_results, 3)
+    labs = _edge_ordinals(registry, lab_eids, lab_codes, NodeType.LAB, "lab observation")
+    meds = _edge_ordinals(registry, *_columns(prescriptions, 2), NodeType.MEDICATION, "prescription")
 
     n_e = registry.count(NodeType.ENCOUNTER)
     raw_el = np.zeros((n_e, registry.count(NodeType.LAB)))
     m_el = np.zeros(raw_el.shape, dtype=bool)
     a_em = np.zeros((n_e, registry.count(NodeType.MEDICATION)))
-    raw_el[labs[:, 0], labs[:, 1]] = [float(value) for _, _, value in lab_results]
+    raw_el[labs[:, 0], labs[:, 1]] = list(map(float, values))
     m_el[labs[:, 0], labs[:, 1]] = True
     a_em[meds[:, 0], meds[:, 1]] = 1.0
-    return assemble_graph(registry, np.array(a_ep, dtype=np.int64), raw_el, m_el, a_em)
+    return assemble_graph(registry, a_ep, raw_el, m_el, a_em)
 
 
 def assemble_graph(
@@ -358,12 +433,12 @@ def make_split(
         raise ParameterError(f"ratios must sum to 1, got sum {sum(r)}")
 
     if task == MEDICATION_TASK:
-        items = np.arange(graph.n_encounters)
+        items, unit = np.arange(graph.n_encounters), "encounters"
     else:
-        items = np.argwhere(graph.m_el)
+        items, unit = np.argwhere(graph.m_el), "lab observations"
     n = len(items)
     if n < 3:
-        raise SplitError(f"need at least 3 items to split, got {n}")
+        raise SplitError(f"{task} split needs at least 3 {unit}, got {n}")
 
     perm = np.random.default_rng(seed).permutation(n)
     c1 = int(n * r[0] + _RATIO_EPS)
@@ -550,10 +625,7 @@ def _read_header(header) -> tuple[NodeRegistry, np.ndarray, list[dict]]:
         ),
         "'ids' must map each node type to a list of string IDs",
     )
-    registry = NodeRegistry()
-    for t in NODE_TYPES:
-        for external_id in ids[t.value]:
-            registry.add(t, external_id)
+    registry = NodeRegistry({t: ids[t.value] for t in NODE_TYPES})
     bad_norm = "'lab_norm' must hold a (min, max) pair per lab"
     need(isinstance(lab_norm, list), bad_norm)
     try:

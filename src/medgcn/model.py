@@ -538,8 +538,23 @@ def _model_from_header(header: dict, blob: bytes, offset: int) -> MedGcnModel:
         weights["head_lab/b"],
         {k: int(v) for k, v in header["trained_counts"].items()},
         {k: int(v) for k, v in header["feat_dims"].items()},
-        header["graph_binding"],
+        _checked_binding(header["graph_binding"]),
     )
+
+
+def _checked_binding(binding) -> dict:
+    """The header's graph binding once its keys and types are checked:
+    type_shas maps each node type to a string hash, and n_encounters is an
+    integer >= 0."""
+    shas = binding.get("type_shas") if isinstance(binding, dict) else None
+    if not (isinstance(shas, dict) and all(isinstance(shas.get(t), str) for t in TYPE_ORDER)):
+        raise CheckpointError(
+            "corrupt checkpoint header: 'graph_binding' must map 'type_shas' to a string hash per node type"
+        )
+    n = binding.get("n_encounters")
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 0):
+        raise CheckpointError("corrupt checkpoint header: 'graph_binding' must hold 'n_encounters', an integer >= 0")
+    return binding
 
 
 def save_model(model: MedGcnModel, path) -> None:

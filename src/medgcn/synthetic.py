@@ -104,15 +104,12 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticCohort:
     tau = np.quantile(med_propensity, 1.0 - spec.med_rate / spec.n_meds)
     a_em = (med_propensity > tau).astype(np.float64)
 
-    registry = NodeRegistry()
-    for i in range(spec.n_patients):
-        registry.add(NodeType.PATIENT, f"P{i}")
-    for i in range(spec.n_encounters):
-        registry.add(NodeType.ENCOUNTER, f"E{i}")
-    for j in range(spec.n_labs):
-        registry.add(NodeType.LAB, f"L{j}")
-    for j in range(spec.n_meds):
-        registry.add(NodeType.MEDICATION, f"M{j}")
+    registry = NodeRegistry({
+        NodeType.PATIENT: [f"P{i}" for i in range(spec.n_patients)],
+        NodeType.ENCOUNTER: [f"E{i}" for i in range(spec.n_encounters)],
+        NodeType.LAB: [f"L{j}" for j in range(spec.n_labs)],
+        NodeType.MEDICATION: [f"M{j}" for j in range(spec.n_meds)],
+    })
 
     graph = assemble_graph(registry, assignment, observed, m_el, a_em)
     return SyntheticCohort(

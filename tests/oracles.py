@@ -5,6 +5,9 @@ no package internals, so test agreement means two separate derivations
 landed on the same numbers.
 """
 
+import csv
+import os
+
 import numpy as np
 
 
@@ -89,3 +92,106 @@ def map_at_k_oracle(scores, relevance, k, normalizer="min"):
     if n_rows == 0:
         raise ValueError("no scorable rows")
     return total / n_rows
+
+
+BUNDLE_HEADERS = {
+    "patients.csv": ["patient_id"],
+    "encounters.csv": ["encounter_id", "patient_id"],
+    "lab_results.csv": ["encounter_id", "lab_code", "value"],
+    "prescriptions.csv": ["encounter_id", "med_code"],
+}
+
+
+def _oracle_rows(directory, name):
+    """(line number, stripped fields) of each non-blank row after the
+    header, checked one line at a time."""
+    header = BUNDLE_HEADERS[name]
+    path = os.path.join(directory, name)
+    if not os.path.isfile(path):
+        raise ValueError(f"missing required file {name}")
+    rows = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.reader(f)
+        try:
+            got = next(reader)
+        except StopIteration:
+            raise ValueError(f"{name}:1: empty file, expected header {','.join(header)}") from None
+        if [h.strip() for h in got] != header:
+            raise ValueError(f"{name}:1: bad header {','.join(got)!r}, expected {','.join(header)!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{name}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            rows.append((lineno, [c.strip() for c in row]))
+    return rows
+
+
+def read_bundle_oracle(directory):
+    """Per-line reference for CSV bundle ingestion and graph assembly.
+
+    Every file is read before any row is cross-checked; then each file's
+    rows are checked in file order, and the first failing check raises
+    ValueError("file:line: message").  Returns the four ID lists in
+    registry order (labs and medications by first appearance) and the
+    a_ep, raw_el, m_el and a_em arrays.
+    """
+    raw = {name: _oracle_rows(directory, name) for name in BUNDLE_HEADERS}
+
+    patients = {}
+    for lineno, (pid,) in raw["patients.csv"]:
+        if pid in patients:
+            raise ValueError(f"patients.csv:{lineno}: duplicate patient_id {pid!r}")
+        patients[pid] = len(patients)
+
+    encounters = {}
+    a_ep = []
+    for lineno, (eid, pid) in raw["encounters.csv"]:
+        if eid in encounters:
+            raise ValueError(f"encounters.csv:{lineno}: duplicate encounter_id {eid!r}")
+        if pid not in patients:
+            raise ValueError(f"encounters.csv:{lineno}: unknown patient_id {pid!r}")
+        encounters[eid] = len(encounters)
+        a_ep.append(patients[pid])
+
+    labs = {}
+    observations = {}
+    for lineno, (eid, code, value) in raw["lab_results.csv"]:
+        if eid not in encounters:
+            raise ValueError(f"lab_results.csv:{lineno}: unknown encounter_id {eid!r}")
+        if (eid, code) in observations:
+            raise ValueError(f"lab_results.csv:{lineno}: duplicate observation for {eid!r}, {code!r}")
+        try:
+            parsed = float(value)
+        except ValueError:
+            raise ValueError(f"lab_results.csv:{lineno}: non-numeric value {value!r}") from None
+        if parsed != parsed or parsed in (float("inf"), float("-inf")):
+            raise ValueError(f"lab_results.csv:{lineno}: non-finite value {value!r}")
+        labs.setdefault(code, len(labs))
+        observations[(eid, code)] = parsed
+
+    meds = {}
+    prescribed = set()
+    for lineno, (eid, code) in raw["prescriptions.csv"]:
+        if eid not in encounters:
+            raise ValueError(f"prescriptions.csv:{lineno}: unknown encounter_id {eid!r}")
+        if (eid, code) in prescribed:
+            raise ValueError(f"prescriptions.csv:{lineno}: duplicate prescription for {eid!r}, {code!r}")
+        meds.setdefault(code, len(meds))
+        prescribed.add((eid, code))
+
+    raw_el = np.zeros((len(encounters), len(labs)))
+    m_el = np.zeros(raw_el.shape, dtype=bool)
+    for (eid, code), value in observations.items():
+        raw_el[encounters[eid], labs[code]] = value
+        m_el[encounters[eid], labs[code]] = True
+    a_em = np.zeros((len(encounters), len(meds)))
+    for eid, code in prescribed:
+        a_em[encounters[eid], meds[code]] = 1.0
+    ids = {
+        "patient": list(patients),
+        "encounter": list(encounters),
+        "lab": list(labs),
+        "medication": list(meds),
+    }
+    return ids, np.array(a_ep, dtype=np.int64), raw_el, m_el, a_em

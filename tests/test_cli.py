@@ -157,6 +157,15 @@ class TestGraphCommands:
 
 
 class TestTrain:
+    def test_bundle_without_lab_rows_names_the_split(self, tmp_path, capsys):
+        (tmp_path / "patients.csv").write_text("patient_id\nP1\n")
+        (tmp_path / "encounters.csv").write_text("encounter_id,patient_id\nE1,P1\nE2,P1\nE3,P1\nE4,P1\n")
+        (tmp_path / "lab_results.csv").write_text("encounter_id,lab_code,value\n")
+        (tmp_path / "prescriptions.csv").write_text("encounter_id,med_code\nE1,M1\nE2,M1\nE3,M2\nE4,M1\n")
+        code = main(["train", "--data", str(tmp_path), "--hidden", "4", "--out", str(tmp_path / "m.ckpt")])
+        assert code == 2
+        assert "error: imputation split needs at least 3 lab observations, got 0" in capsys.readouterr().err
+
     def test_writes_checkpoint_and_log(self, checkpoint):
         assert checkpoint.is_file()
         log = checkpoint.with_name(checkpoint.name + ".log.tsv")
@@ -258,6 +267,13 @@ MALFORMED_CHECKPOINTS = {
     "negative_dropout": lambda h: {**h, "hyper": {**h["hyper"], "dropout": -0.5}},
 }
 
+# Each case maps a valid graph binding to a malformed one.
+MALFORMED_BINDINGS = {
+    "empty": lambda b: {},
+    "without_n_encounters": lambda b: {"type_shas": b["type_shas"]},
+    "non_string_sha": lambda b: {**b, "type_shas": {**b["type_shas"], "lab": 7}},
+}
+
 
 class TestMalformedCheckpoint:
     def _recommend(self, cohort_dir, path, capsys):
@@ -276,6 +292,16 @@ class TestMalformedCheckpoint:
         path.write_bytes(_rewrite_checkpoint_header(checkpoint.read_bytes(), MALFORMED_CHECKPOINTS[case]))
         code, err = self._recommend(cohort_dir, path, capsys)
         assert code == 4 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BINDINGS))
+    def test_malformed_graph_binding_exits_4(self, cohort_dir, checkpoint, tmp_path, capsys, case):
+        edit = MALFORMED_BINDINGS[case]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(
+            _rewrite_checkpoint_header(checkpoint.read_bytes(), lambda h: {**h, "graph_binding": edit(h["graph_binding"])})
+        )
+        code, err = self._recommend(cohort_dir, path, capsys)
+        assert code == 4 and err.startswith("error: corrupt checkpoint header: 'graph_binding'")
 
     def test_unchanged_header_still_loads(self, cohort_dir, checkpoint, tmp_path, capsys):
         path = tmp_path / "same.ckpt"
