@@ -162,11 +162,9 @@ def _push(t: Tensor, g: np.ndarray, scratch: dict) -> None:
     if t.is_leaf:
         t.accumulate_grad(g)
     else:
+        # Out of place, so g may be an array another node also holds.
         key = id(t)
-        if key in scratch:
-            scratch[key] += g
-        else:
-            scratch[key] = g.copy()
+        scratch[key] = scratch[key] + g if key in scratch else g
 
 
 def _maybe_record(out: Tensor, backward_fn) -> None:
@@ -305,6 +303,14 @@ def sigmoid(a) -> Tensor:
     return out
 
 
+def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """out[k] = sum of values[i] over i with index[i] == k, for k < n: one
+    bincount over the flat cell index, adding in order of i as np.add.at does."""
+    h = values.shape[1]
+    flat = (index[:, None] * h + np.arange(h)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * h).reshape(n, h)
+
+
 def take_rows(b, index: np.ndarray) -> Tensor:
     """Rows of b picked by an integer vector: out[i] = b[index[i]].
 
@@ -316,9 +322,7 @@ def take_rows(b, index: np.ndarray) -> Tensor:
     out = Tensor(b.values[index], requires_grad=b.requires_grad)
 
     def backward_fn(g, scratch):
-        grad = np.zeros_like(b.values)
-        np.add.at(grad, index, g)
-        _push(b, grad, scratch)
+        _push(b, _scatter_add(index, g, b.rows), scratch)
 
     _maybe_record(out, backward_fn)
     return out
@@ -333,8 +337,7 @@ def scatter_rows(b, index: np.ndarray, n: int, row_scale: Optional[np.ndarray] =
     of take_rows; backward gathers the (scaled) gradient rows.
     """
     b = as_tensor(b)
-    vals = np.zeros((n, b.cols))
-    np.add.at(vals, index, b.values)
+    vals = _scatter_add(index, b.values, n)
     if row_scale is not None:
         vals *= row_scale[:, None]
     out = Tensor(vals, requires_grad=b.requires_grad)
@@ -411,8 +414,7 @@ def dropout_rows(a, rate: float, training: bool, rng: Optional[np.random.Generat
         return a
     if rng is None:
         raise StateError("training-mode dropout needs a seeded generator")
-    keep = rng.random((a.rows, 1)) >= rate
-    factor = np.broadcast_to(keep / (1.0 - rate), a.values.shape).copy()
+    factor = (rng.random((a.rows, 1)) >= rate) / (1.0 - rate)
     out = Tensor(a.values * factor, requires_grad=a.requires_grad)
 
     def backward_fn(g, scratch):

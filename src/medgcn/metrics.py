@@ -30,42 +30,46 @@ def _check_pair(scores: np.ndarray, relevance: np.ndarray) -> tuple[np.ndarray, 
     return scores, relevance
 
 
-def _average_ranks_desc(row: np.ndarray) -> np.ndarray:
-    """1-based ranks by descending score; a tie group occupying sorted
-    positions start..end (0-based) shares the rank (start + end + 2) / 2."""
-    order = np.argsort(-row, kind="stable")
-    ordered = row[order]
-    first = np.empty(row.size, dtype=bool)
-    first[:1] = True
-    first[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(first)
-    ends = np.append(starts[1:], row.size) - 1
-    ranks = np.empty(row.size)
-    ranks[order] = ((starts + ends + 2) / 2.0)[np.cumsum(first) - 1]
-    return ranks
+def _ranked_rows(scores: np.ndarray, relevance: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row with a relevant label: its label order by descending score (stable,
+    so ties keep ordinal order), and its scores and relevance in that order."""
+    rel = relevance == 1
+    keep = rel.any(axis=1)
+    if not keep.any():
+        raise MetricError("no row has a relevant label")
+    scores = scores[keep]
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return order, np.take_along_axis(scores, order, axis=1), np.take_along_axis(rel[keep], order, axis=1)
+
+
+def _mean_in_row_order(values: np.ndarray) -> float:
+    """Mean of values summed from 0.0 in order (np.sum would pair terms up)."""
+    return float(np.cumsum(values)[-1]) / values.size
 
 
 def lrap(scores, relevance) -> float:
     """Label ranking average precision.
 
     Per row, each relevant label j contributes (number of relevant labels
-    ranked at or above j) / rank(j), ranks descending by score; the row
-    averages its labels and rows average into the result.
+    ranked at or above j) / rank(j), ranks descending by score with a tie
+    group at sorted positions start..end (0-based) sharing the rank
+    (start + end + 2) / 2; the row averages its labels and rows average
+    into the result.
     """
     scores, relevance = _check_pair(scores, relevance)
-    total = 0.0
-    n_rows = 0
-    for i in range(scores.shape[0]):
-        rel = np.flatnonzero(relevance[i] == 1)
-        if rel.size == 0:
-            continue
-        rel_ranks = _average_ranks_desc(scores[i])[rel]
-        contribs = (rel_ranks[None, :] <= rel_ranks[:, None]).sum(axis=1) / rel_ranks
-        total += float(np.sum(contribs)) / rel.size
-        n_rows += 1
-    if n_rows == 0:
-        raise MetricError("no row has a relevant label")
-    return total / n_rows
+    order, ordered, rel = _ranked_rows(scores, relevance)
+    n, width = ordered.shape
+    pos = np.arange(width)
+    # new[:, j] marks a tie group starting at position j; new[:, width] closes the last.
+    new = np.ones((n, width + 1), dtype=bool)
+    new[:, 1:width] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.maximum.accumulate(np.where(new[:, :-1], pos, 0), axis=1)
+    ends = np.minimum.accumulate(np.where(new[:, 1:], pos, width)[:, ::-1], axis=1)[:, ::-1]
+    at_or_above = np.take_along_axis(np.cumsum(rel, axis=1), ends, axis=1)
+    terms = np.zeros(ordered.shape)
+    np.put_along_axis(terms, order, np.where(rel, at_or_above / ((starts + ends + 2) / 2.0), 0.0), axis=1)
+    # cumsum adds a row's terms one label at a time, in label order.
+    return _mean_in_row_order(np.cumsum(terms, axis=1)[:, -1] / rel.sum(axis=1))
 
 
 def map_at_k(scores, relevance, k: int, normalizer: str = "min") -> float:
@@ -79,25 +83,11 @@ def map_at_k(scores, relevance, k: int, normalizer: str = "min") -> float:
         raise ParameterError(f"k must be >= 1, got {k}")
     if normalizer not in MAP_NORMALIZERS:
         raise ParameterError(f"normalizer must be one of {MAP_NORMALIZERS}, got {normalizer!r}")
-    total = 0.0
-    n_rows = 0
-    for i in range(scores.shape[0]):
-        rel = relevance[i]
-        n_rel = int(np.sum(rel == 1))
-        if n_rel == 0:
-            continue
-        order = np.argsort(-scores[i], kind="stable")
-        hits = 0
-        ap = 0.0
-        for rank, j in enumerate(order[:k], start=1):
-            if rel[j] == 1:
-                hits += 1
-                ap += hits / rank
-        total += ap / (min(k, n_rel) if normalizer == "min" else k)
-        n_rows += 1
-    if n_rows == 0:
-        raise MetricError("no row has a relevant label")
-    return total / n_rows
+    _, _, rel = _ranked_rows(scores, relevance)
+    hits = rel[:, :k]
+    precision = np.cumsum(hits, axis=1) / np.arange(1, hits.shape[1] + 1)
+    ap = np.cumsum(np.where(hits, precision, 0.0), axis=1)[:, -1]
+    return _mean_in_row_order(ap / (np.minimum(k, rel.sum(axis=1)) if normalizer == "min" else k))
 
 
 def count_scorable_rows(relevance) -> int:

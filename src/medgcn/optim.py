@@ -54,15 +54,22 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        # In place, in the float ops and order of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*(g*g), p -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
         for p, s in zip(self.params, self.state):
             g = p.grad
-            s.m = self.beta1 * s.m + (1.0 - self.beta1) * g
-            s.v = self.beta2 * s.v + (1.0 - self.beta2) * (g * g)
-            m_hat = s.m / bc1
-            v_hat = s.v / bc2
-            p.values -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.grad = None
-
-    def zero_grad(self) -> None:
-        for p in self.params:
+            tmp = g * (1.0 - self.beta1)
+            s.m *= self.beta1
+            s.m += tmp
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - self.beta2
+            s.v *= self.beta2
+            s.v += tmp
+            np.divide(s.v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            step = s.m / bc1
+            step *= self.lr
+            step /= tmp
+            p.values -= step
             p.grad = None

@@ -14,14 +14,13 @@ early stop after `patience` epochs without strict improvement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .errors import (
-    MetricError,
     NumericGuardError,
     ParameterError,
     ShapeError,
@@ -168,15 +167,15 @@ def loss_medication(
     return ad.scale(ad.tensor_sum(inner), -1.0 / n_rows)
 
 
-def loss_lab(v: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mask-screened squared error divided by the number of encounter rows."""
+def loss_lab(v: Tensor, targets: np.ndarray, mask: np.ndarray, n_rows: Optional[int] = None) -> Tensor:
+    """Mask-screened squared error divided by n_rows encounter rows (default v's rows)."""
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if not v.shape == targets.shape == mask.shape:
         raise ShapeError(f"values {v.shape}, targets {targets.shape}, mask {mask.shape} must match")
     diff = ad.sub(v, Tensor(targets))
     masked = ad.mul(Tensor(mask), ad.mul(diff, diff))
-    return ad.scale(ad.tensor_sum(masked), 1.0 / v.rows)
+    return ad.scale(ad.tensor_sum(masked), 1.0 / (v.rows if n_rows is None else n_rows))
 
 
 def loss_combined(l_med: Tensor, l_lab: Tensor, lam: float) -> Tensor:
@@ -243,12 +242,24 @@ def prepare_training_data(
     )
 
 
-def _validation_value(
-    config: TrainConfig, data: TrainingData, p: np.ndarray, v: np.ndarray
-) -> float:
+def _validation(
+    config: TrainConfig, data: TrainingData
+) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], float]]:
+    """The encounter rows the validation metric reads (medication validation
+    rows for LRAP, encounters of lab validation edges for MSE) and the metric
+    of head outputs p, v on those rows; a split leaving none is rejected."""
     if config.resolved_metric() == METRIC_LRAP:
-        return lrap(p[data.val_rows], data.full.a_em[data.val_rows])
-    return masked_mse(v, data.lab_targets, data.val_edge_mask)
+        relevance = data.full.a_em[data.val_rows]
+        if not relevance.any():
+            raise ParameterError(
+                f"the {MEDICATION_TASK} validation split has no prescription for lrap; change --split")
+        return data.val_rows, lambda p, v: lrap(p, relevance)
+    rows = np.flatnonzero(data.val_edge_mask.any(axis=1))
+    if rows.size == 0:
+        raise ParameterError(
+            f"the {IMPUTATION_TASK} validation split has no lab observation for mse; change --split")
+    targets, mask = data.lab_targets[rows], data.val_edge_mask[rows]
+    return rows, lambda p, v: masked_mse(v, targets, mask)
 
 
 def train(
@@ -273,6 +284,7 @@ def train(
     )
     if med_active and data.class_weight is None:
         raise ParameterError("medication loss active but the training view has no positive edges")
+    val_rows, validate = _validation(config, data)
 
     model = init_model(graph, hyper, config.seed)
     params = active_parameters(model, config.task_mode, config.lam)
@@ -288,15 +300,23 @@ def train(
     # that forward saw.
     p0, v0, _ = forward(model, data.view)
     view = make_view(data.view, hyper.normalize_adjacency)
-    try:
-        report.untrained_val = _validation_value(config, data, p0.values, v0.values)
-    except MetricError:
-        report.untrained_val = float("nan")
+    report.untrained_val = validate(p0.values[val_rows], v0.values[val_rows])
 
     weight = data.class_weight.weight if data.class_weight is not None else float("nan")
     best_bytes = model_to_bytes(model)
     best_val = -np.inf if maximize else np.inf
     best_epoch = 0
+
+    # The post-step forward scores only the rows the epoch reads: validation
+    # rows, then those of a logged loss not on the tape (loss_med: training
+    # rows; loss_lab: rows with observed labs).
+    log_rows = np.zeros(0, dtype=np.int64)
+    if not med_active and data.class_weight is not None:
+        log_rows = data.train_rows
+    elif not lab_in_loss:
+        log_rows = np.flatnonzero(data.view.m_el.any(axis=1))
+    eval_rows = np.union1d(val_rows, log_rows)
+    val_at, log_at = np.searchsorted(eval_rows, val_rows), np.searchsorted(eval_rows, log_rows)
 
     for epoch in range(1, config.max_epochs + 1):
         l_med_t: Optional[Tensor] = None
@@ -317,23 +337,24 @@ def train(
         tape.backward(loss)
         opt.step()
 
-        p_eval, v_eval, _ = forward(model, view)
+        p_eval, v_eval, _ = forward(model, view, rows=eval_rows)
         # Both component losses go in the log even when only one trains;
         # the inactive one is computed gradient-free from the post-step
         # evaluation forward.
         if l_med_t is not None:
             loss_med_val = float(l_med_t.item())
         elif data.class_weight is not None:
-            loss_med_val = float(
-                loss_medication(p_eval, data.view.a_em, data.class_weight.weight, data.train_rows).item()
-            )
+            p_log = Tensor(p_eval.values[log_at])
+            loss_med_val = float(loss_medication(p_log, data.view.a_em[log_rows], weight).item())
         else:
             loss_med_val = float("nan")
         if l_lab_t is not None:
             loss_lab_val = float(l_lab_t.item())
         else:
-            loss_lab_val = float(loss_lab(v_eval, data.lab_targets, data.view.m_el).item())
-        val_value = _validation_value(config, data, p_eval.values, v_eval.values)
+            v_log = Tensor(v_eval.values[log_at])
+            targets, mask = data.lab_targets[log_rows], data.view.m_el[log_rows]
+            loss_lab_val = float(loss_lab(v_log, targets, mask, data.view.n_encounters).item())
+        val_value = validate(p_eval.values[val_at], v_eval.values[val_at])
         report.epochs.append(EpochRecord(epoch, loss_med_val, loss_lab_val, val_value))
 
         improved = val_value > best_val if maximize else val_value < best_val

@@ -31,6 +31,13 @@ def layer_oracle(a_ep, a_el, a_em, w_e, w_p, w_l, w_m, relu=True):
     }
 
 
+def scatter_add_oracle(index, values, n):
+    """out[k] = sum of values[i] over i with index[i] == k, by np.add.at."""
+    out = np.zeros((n, values.shape[1]))
+    np.add.at(out, index, values)
+    return out
+
+
 def rank_desc(scores):
     """1-based descending-score ranks with average ranks on ties."""
     scores = np.asarray(scores, dtype=float)

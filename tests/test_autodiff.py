@@ -29,6 +29,8 @@ from medgcn.autodiff import (
 )
 from medgcn.errors import NumericGuardError, ParameterError, ShapeError, StateError
 
+from oracles import scatter_add_oracle
+
 H = 1e-5
 GRAD_RTOL = 1e-4
 
@@ -178,7 +180,58 @@ class TestOpGradients:
         check_grads(build, [a, w])
 
 
+class TestScatterAdd:
+    """take_rows backward and scatter_rows forward sum rows per group; the
+    sums must equal np.add.at's bit for bit, whose adding order is fixed."""
+
+    CASES = [
+        (np.array([1, 0, 1, 3, 1, 1, 0]), 5),  # repeated groups; groups 2 and 4 have no member
+        (np.random.default_rng(0).integers(0, 4, 300), 4),  # long groups, where order shows
+        (np.zeros(0, dtype=np.int64), 3),  # zero rows
+    ]
+
+    @staticmethod
+    def spread(rng, shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+
+    @pytest.mark.parametrize("index, n", CASES)
+    def test_scatter_rows_forward(self, index, n):
+        values = self.spread(np.random.default_rng(1), (index.size, 6))
+        out = scatter_rows(values, index, n).values
+        assert out.shape == (n, 6)
+        assert out.tobytes() == scatter_add_oracle(index, values, n).tobytes()
+
+    @pytest.mark.parametrize("index, n", CASES)
+    def test_take_rows_backward(self, index, n):
+        rng = np.random.default_rng(2)
+        b = Tensor(rng.standard_normal((n, 6)), requires_grad=True)
+        upstream = self.spread(rng, (index.size, 6))
+        with Tape() as tape:
+            loss = tensor_sum(mul(take_rows(b, index), Tensor(upstream)))
+        tape.backward(loss)
+        assert b.grad.tobytes() == scatter_add_oracle(index, upstream, n).tobytes()
+
+
 class TestTapeSemantics:
+    def test_interior_tensor_used_twice_gets_the_summed_gradient(self):
+        a = Tensor([[1.0, -2.0], [0.5, 4.0]], requires_grad=True)
+        with Tape() as tape:
+            h = scale(a, 3.0)
+            loss = tensor_sum(add(mul(h, h), add(h, h)))
+        tape.backward(loss)
+        np.testing.assert_array_equal(a.grad, 3.0 * (2.0 * h.values + 2.0))
+
+    def test_leaves_fed_by_one_add_own_their_grads(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            loss = tensor_sum(add(a, b))
+        tape.backward(loss)
+        assert not np.shares_memory(a.grad, b.grad)
+        tape.backward(loss)
+        a.grad += 10.0
+        np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0))
+
     def test_backward_accumulates_across_calls(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         with Tape() as tape:
@@ -342,6 +395,19 @@ class TestDropout:
         out6 = dropout_rows(a6, 0.4, training=True, rng=np.random.default_rng(9))
         out2 = dropout_rows(a2, 0.4, training=True, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(out6.values[:, 0] == 0.0, out2.values[:, 0] == 0.0)
+
+    def test_row_dropout_equals_broadcast_factor(self):
+        rng = np.random.default_rng(21)
+        a = Tensor(rng.standard_normal((9, 5)), requires_grad=True)
+        upstream = rng.standard_normal((9, 5))
+        with Tape() as tape:
+            out = dropout_rows(a, 0.3, training=True, rng=np.random.default_rng(4))
+            loss = tensor_sum(mul(out, Tensor(upstream)))
+        tape.backward(loss)
+        keep = np.random.default_rng(4).random((9, 1)) >= 0.3
+        factor = np.broadcast_to(keep / 0.7, (9, 5)).copy()
+        assert out.values.tobytes() == (a.values * factor).tobytes()
+        assert a.grad.tobytes() == (upstream * factor).tobytes()
 
     def test_row_dropout_gradient(self):
         rng = np.random.default_rng(17)

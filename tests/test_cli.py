@@ -12,7 +12,9 @@ import pytest
 import medgcn
 import medgcn.data_io
 from medgcn.cli import main, parse_split_flag
+from medgcn.data_io import load_csv_bundle
 from medgcn.errors import ParameterError
+from medgcn.graph import MEDICATION_TASK, NodeType, make_split
 
 SPEC_TEXT = """\
 n_patients = 25
@@ -165,6 +167,31 @@ class TestTrain:
         code = main(["train", "--data", str(tmp_path), "--hidden", "4", "--out", str(tmp_path / "m.ckpt")])
         assert code == 2
         assert "error: imputation split needs at least 3 lab observations, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, message", [
+        ("both", "the medication validation split has no prescription for lrap; change --split"),
+        ("lab", "the imputation validation split has no lab observation for mse; change --split"),
+    ])
+    def test_validation_split_with_nothing_to_score_exits_2(self, tmp_path, capsys, task, message):
+        # 20 encounters and 3 lab observations: the default split leaves the
+        # lab validation split empty, and the prescriptions skip every
+        # medication validation encounter.
+        ids = [f"E{i:02d}" for i in range(20)]
+        (tmp_path / "patients.csv").write_text("patient_id\nP1\n")
+        (tmp_path / "encounters.csv").write_text("encounter_id,patient_id\n" + "".join(f"{e},P1\n" for e in ids))
+        (tmp_path / "lab_results.csv").write_text("encounter_id,lab_code,value\nE00,L1,1.0\nE01,L1,2.0\nE02,L1,3.0\n")
+        prescriptions = tmp_path / "prescriptions.csv"
+        prescriptions.write_text("encounter_id,med_code\n" + "".join(f"{e},M{i % 2}\n" for i, e in enumerate(ids)))
+        graph = load_csv_bundle(tmp_path)
+        val = make_split(graph, MEDICATION_TASK, parse_split_flag("0.8,0.1"), 0).val
+        kept = [e for e in ids if graph.registry.ordinal(NodeType.ENCOUNTER, e) not in val]
+        prescriptions.write_text("encounter_id,med_code\n" + "".join(f"{e},M1\n" for e in kept))
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--data", str(tmp_path), "--task", task, "--hidden", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert not out.exists()
 
     def test_writes_checkpoint_and_log(self, checkpoint):
         assert checkpoint.is_file()

@@ -71,6 +71,33 @@ class TestLrap:
             assert lrap(scores, rel) == lrap_oracle(scores, rel)
 
 
+def wide_draws(seed, count=150):
+    """Score/relevance pairs up to 60 labels wide whose rows hold 9 or more
+    relevant labels: long enough that a pairwise sum rounds differently
+    from adding terms one at a time, as the oracles do."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        width = int(rng.integers(9, 61))
+        scores = rng.random((8, width))
+        if rng.random() < 0.5:
+            scores = np.round(scores, 1)  # ties
+        rel = rng.random((8, width)) < rng.uniform(0.1, 0.9)
+        rel |= rng.permuted(np.tile(np.arange(width) < 9, (8, 1)), axis=1)
+        yield scores, rel.astype(int)
+
+
+class TestWideRows:
+    def test_lrap_exact_agreement_with_oracle(self):
+        for scores, rel in wide_draws(3):
+            assert lrap(scores, rel) == lrap_oracle(scores, rel)
+
+    def test_map_at_k_exact_agreement_with_oracle(self):
+        for scores, rel in wide_draws(4, count=60):
+            for k in (1, 2, 9, 25, 60):
+                assert map_at_k(scores, rel, k) == map_at_k_oracle(scores, rel, k)
+                assert map_at_k(scores, rel, k, "k") == map_at_k_oracle(scores, rel, k, "k")
+
+
 class TestMapAtK:
     def test_worked_example(self):
         # Relevant {0, 2}, ranking [0, 1, 2], k=2: (1/2)(1 + 0) = 0.5.

@@ -15,7 +15,7 @@ def reference_adam(x0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     v = np.zeros_like(x)
     for t, g in enumerate(grads, start=1):
         m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
+        v = beta2 * v + (1 - beta2) * (g * g)
         m_hat = m / (1 - beta1 ** t)
         v_hat = v / (1 - beta2 ** t)
         x = x - lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -35,6 +35,20 @@ class TestAdam:
             opt.step()
 
         np.testing.assert_allclose(p.values, reference_adam(x0, grads, 0.05), rtol=1e-12)
+
+    def test_in_place_step_is_bit_equal_to_the_formula(self):
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((4, 3))
+        grads = [rng.standard_normal((4, 3)) * 10.0 ** rng.integers(-6, 3, (4, 3)) for _ in range(5)]
+        p = Tensor(x0.copy(), requires_grad=True)
+        opt = Adam([p], lr=0.01)
+        for g in grads:
+            p.grad = g
+            kept = g.copy()
+            opt.step()
+            assert p.grad is None
+            assert g.tobytes() == kept.tobytes()  # step only reads the gradient
+        assert p.values.tobytes() == reference_adam(x0, grads, 0.01).tobytes()
 
     def test_first_step_is_signed_lr(self):
         p = Tensor([[1.0, -2.0, 3.0]], requires_grad=True)

@@ -8,7 +8,9 @@ import pytest
 from medgcn.autodiff import Tape, Tensor
 from medgcn.errors import NumericGuardError, ParameterError, TrainingError
 from medgcn.graph import IMPUTATION_TASK, MEDICATION_TASK, make_split
+from medgcn.metrics import lrap, masked_mse
 from medgcn.model import Hyper, forward, init_model, model_to_bytes
+from medgcn.synthetic import SyntheticSpec, generate_synthetic
 from medgcn.training import (
     ClassWeight,
     TrainConfig,
@@ -313,6 +315,33 @@ class TestTrainLoop:
         first = lines[1].split("\t")
         assert int(first[0]) == 1
         assert float(first[1]) == report.epochs[0].loss_med
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("task_mode", ["both", "medication", "lab"])
+def test_post_step_log_matches_a_full_forward(task_mode, normalize):
+    # The post-step forward scores only the rows the epoch reads.  With one
+    # epoch the returned model is the post-step model, so each logged value
+    # taken from that forward must match a full forward of it.
+    graph = generate_synthetic(
+        SyntheticSpec(n_patients=25, n_encounters=60, n_labs=10, n_meds=8, latent_dim=4, lab_observe_prob=0.35)
+    ).graph
+    plan_med, plan_lab = toy_plans(graph)
+    hyper = Hyper(hidden_dim=8, dropout=0.1, normalize_adjacency=normalize)
+    model, report = train(graph, plan_med, plan_lab, quick_config(task_mode=task_mode, max_epochs=1, patience=1), hyper)
+    assert report.best_epoch == 1
+    data = prepare_training_data(graph, plan_med, plan_lab)
+    p, v, _ = forward(model, data.view)
+    (record,) = report.epochs
+    if task_mode == "lab":
+        val = masked_mse(v.values, data.lab_targets, data.val_edge_mask)
+        loss_med = loss_medication(p, data.view.a_em, data.class_weight.weight, plan_med.train).item()
+        assert record.loss_med == pytest.approx(loss_med, abs=1e-12)
+    else:
+        val = lrap(p.values[plan_med.val], data.full.a_em[plan_med.val])
+    if task_mode == "medication":
+        assert record.loss_lab == pytest.approx(loss_lab(v, data.lab_targets, data.view.m_el).item(), abs=1e-12)
+    assert record.val_metric == pytest.approx(val, abs=1e-12)
 
 
 class TestActiveParameters:
