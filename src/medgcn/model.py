@@ -15,15 +15,17 @@ materialized: projecting an identity feature matrix through W is W
 itself, and input dropout on one-hot rows reduces to dropping whole rows
 of W (one Bernoulli draw per node).
 
-After all layers, two affine-sigmoid heads read the encounter rows:
-medication probabilities (N_E x N_M) and normalized lab values
-(N_E x N_L).
+Two affine-sigmoid heads read the encounter rows: medication
+probabilities (N_E x N_M) and normalized lab values (N_E x N_L).  The
+last layer therefore computes encounter rows only, in one code path that
+training, the batch pass and row inference (any subset of rows) share.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -39,6 +41,7 @@ TYPE_ORDER = tuple(t.value for t in NodeType)
 ENCOUNTER = NodeType.ENCOUNTER.value
 
 ACTIVATIONS = ("relu", "identity")
+FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,12 @@ class Hyper:
     normalize_adjacency: bool = False
 
     def validate(self) -> None:
+        # Checkpoint headers arrive as JSON, so each field's type is checked
+        # against its annotation; a bool passes only where one is declared.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, FIELD_KINDS[f.type]) or (isinstance(value, bool) and f.type != "bool"):
+                raise ParameterError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.hidden_dim < 1:
             raise ParameterError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         if self.n_layers < 1:
@@ -212,12 +221,8 @@ class MedGcnModel:
     graph_binding: dict = field(default_factory=dict)
 
     def parameters(self) -> list[Tensor]:
-        params = []
-        for layer in self.layers:
-            for t in TYPE_ORDER:
-                params.append(layer[t])
-        params.extend([self.head_med_w, self.head_med_b, self.head_lab_w, self.head_lab_b])
-        return params
+        """The weights in checkpoint order."""
+        return [t for _, t in _weight_entries(self)]
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -317,12 +322,9 @@ def hetero_layer_forward(
     training: bool = False,
     dropout: float = 0.0,
     rng=None,
-    dest_types: Optional[tuple[str, ...]] = None,
 ) -> dict[str, Tensor]:
-    """One propagation step; returns new features for dest_types (default
-    all).  Projections are computed for every type in declaration order
-    regardless of dest pruning, so dropout draws are position-stable.
-    """
+    """One propagation step; returns new features for every type.  Types
+    are projected in declaration order, which fixes the dropout draws."""
     if isinstance(view, MedGraph):
         view = make_view(view)
     phi = _activation(activation)
@@ -331,7 +333,7 @@ def hetero_layer_forward(
         for t in view.types
     }
     out: dict[str, Tensor] = {}
-    for dst in dest_types if dest_types is not None else view.types:
+    for dst in view.types:
         z = projected[dst]
         for (d, src), adj in view.adjacency.items():
             if d == dst:
@@ -347,39 +349,48 @@ def forward(
     *,
     training: bool = False,
     rng=None,
-    all_types_last_layer: bool = False,
     rows=None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Full pass: all layers, then both heads on the encounter rows.
 
     Returns (P, V, H_E): medication probabilities, imputed normalized lab
-    values, and the final encounter representations.  The last layer only
-    computes the encounter rows unless all_types_last_layer is set, since
-    the heads consume nothing else.
-
-    With rows (encounter ordinals, inference only) the last layer computes
-    just those encounter rows and the outputs hold one row per entry of
-    rows, equal to the same rows of the full pass.  Earlier layers still
-    run over the whole graph, so a one-layer model scores a row from its
-    own edges only.
+    values, and the final encounter representations.  Earlier layers run
+    over the whole graph.  The last layer computes only the encounter rows
+    listed in rows (ordinals, inference only; None means every encounter),
+    each from its own adjacency rows, so a one-layer model scores a row
+    from its own edges.  The outputs hold one row per entry of rows, equal
+    to that row of the full pass.  Training, the batch pass and row
+    inference share this code; it draws dropout masks in type order.
     """
-    if rows is not None:
-        if training or all_types_last_layer:
-            raise ParameterError("rows selects encounter rows for inference; it excludes training and all_types_last_layer")
-        return _forward_rows(model, graph, features, rows)
-    view = make_view(graph, model.hyper.normalize_adjacency) if isinstance(graph, MedGraph) else graph
-    feats: Features = dict(features) if features is not None else {t: None for t in view.types}
+    if rows is not None and training:
+        raise ParameterError("rows selects encounter rows for inference; it excludes training")
+    normalize = model.hyper.normalize_adjacency
+    *earlier, last = model.layers
+    view = make_view(graph, normalize) if earlier and isinstance(graph, MedGraph) else graph
+    counts = {t.value: view.registry.count(t) for t in NodeType} if isinstance(view, MedGraph) else view.counts
+    index = slice(None) if rows is None else _check_rows(rows, counts[ENCOUNTER])
+    if isinstance(view, MedGraph):
+        sources = _encounter_sources(view, index)
+        if normalize:
+            # Normalized after slicing, so the cost stays with the rows; a
+            # row's sum is the same either way.  A view comes as it was built.
+            sources = {src: _row_normalize(adj) for src, adj in sources.items()}
+    else:
+        sources = {src: _take_adjacency_rows(adj, index) for (dst, src), adj in view.adjacency.items() if dst == ENCOUNTER}
     rate = model.hyper.dropout if training else 0.0
-    for k, layer in enumerate(model.layers):
-        last = k == len(model.layers) - 1
-        dest = None if (not last or all_types_last_layer) else (ENCOUNTER,)
+    feats: Features = features or {}
+    for layer in earlier:
         feats = hetero_layer_forward(
-            layer, view, feats,
-            activation=model.hyper.activation,
-            training=training, dropout=rate, rng=rng,
-            dest_types=dest,
+            layer, view, feats, activation=model.hyper.activation, training=training, dropout=rate, rng=rng
         )
-    return _heads(model, feats[ENCOUNTER])
+    if rows is None:
+        z = _project_type(ENCOUNTER, last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], training, rate, rng)
+    else:
+        z = _project_rows(last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], index)
+    for src, adj in sources.items():
+        projected = _project_type(src, last[src], feats.get(src), counts[src], training, rate, rng)
+        z = ad.add(z, _propagate(adj, projected))
+    return _heads(model, _activation(model.hyper.activation)(z))
 
 
 def _heads(model: MedGcnModel, h_e: Tensor) -> tuple[Tensor, Tensor, Tensor]:
@@ -397,38 +408,6 @@ def _check_rows(rows, n_encounters: int) -> np.ndarray:
     if bad.size:
         raise GraphLookupError(f"encounter ordinal {bad[0]} out of range 0..{n_encounters - 1}")
     return index
-
-
-def _forward_rows(
-    model: MedGcnModel,
-    graph: Union[MedGraph, TypedGraphView],
-    features: Optional[Features],
-    rows,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """forward(..., rows=rows): the last layer's encounter rows from their
-    own adjacency rows, then the heads on those rows."""
-    normalize = model.hyper.normalize_adjacency
-    counts = {t.value: graph.registry.count(t) for t in NodeType} if isinstance(graph, MedGraph) else graph.counts
-    rows = _check_rows(rows, counts[ENCOUNTER])
-    if isinstance(graph, MedGraph):
-        sources = _encounter_sources(graph, rows)
-        if normalize:
-            # Normalized after slicing, so the cost stays with the rows; a
-            # row's sum is the same either way.  A view comes as it was built.
-            sources = {src: _row_normalize(adj) for src, adj in sources.items()}
-    else:
-        sources = {src: _take_adjacency_rows(adj, rows) for (dst, src), adj in graph.adjacency.items() if dst == ENCOUNTER}
-    feats: Features = dict(features) if features is not None else {}
-    *earlier, last = model.layers
-    if earlier:
-        view = make_view(graph, normalize) if isinstance(graph, MedGraph) else graph
-        for layer in earlier:
-            feats = hetero_layer_forward(layer, view, feats, activation=model.hyper.activation)
-    z = _project_rows(last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], rows)
-    for src, adj in sources.items():
-        projected = _project_type(src, last[src], feats.get(src), counts[src], False, 0.0, None)
-        z = ad.add(z, _propagate(adj, projected))
-    return _heads(model, _activation(model.hyper.activation)(z))
 
 
 def _project_rows(weight: Tensor, feature, n_nodes: int, rows: np.ndarray) -> Tensor:

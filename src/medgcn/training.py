@@ -65,10 +65,11 @@ class TrainConfig:
     val_metric: str = ""  # empty selects per task_mode: lrap, or mse for lab-only
 
     def validate(self) -> None:
-        if self.lam < 0.0:
-            raise ParameterError(f"lambda must be nonnegative, got {self.lam}")
-        if self.lr <= 0.0:
-            raise ParameterError(f"learning rate must be positive, got {self.lr}")
+        # Chained so that NaN, which fails every comparison, is rejected too.
+        if not 0.0 <= self.lam < np.inf:
+            raise ParameterError(f"lambda must be a finite number >= 0, got {self.lam}")
+        if not 0.0 < self.lr < np.inf:
+            raise ParameterError(f"learning rate must be a finite number > 0, got {self.lr}")
         if self.max_epochs < 1:
             raise ParameterError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 1 <= self.patience <= self.max_epochs:

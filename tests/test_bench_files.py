@@ -1,7 +1,9 @@
 """Every BENCH_*.json at the repository root backs a performance claim: each
 entry names a workload and a metric that BENCHMARK.json declares and holds
-at least ten parent/change pairs of measured values."""
+at least ten parent/change pairs of measured values.  tools/bench_pairs.py,
+which writes those files, reports why a benchmark run failed."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -25,3 +27,24 @@ def test_bench_file_entries_name_declared_metrics_with_enough_pairs(path):
         assert len(entry["pairs"]) >= MIN_PAIRS, where
         for pair in entry["pairs"]:
             assert isinstance(pair["parent"], (int, float)) and isinstance(pair["change"], (int, float)), where
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_reports_a_failing_run(tmp_path):
+    # A fake checkout whose benchmark exits 1: no real benchmark runs.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nprint('set-up log line', file=sys.stderr)\n"
+        "sys.exit('stage serve failed: reference mismatch')\n"
+    )
+    with pytest.raises(SystemExit) as raised:
+        _load_bench_pairs().run_once(tmp_path, "serve", 107, 1.0)
+    message = str(raised.value)
+    assert message.startswith(f"{tmp_path}: serve seed 107 exited 1;")
+    assert message.endswith("set-up log line\nstage serve failed: reference mismatch")

@@ -224,6 +224,19 @@ class TestTrain:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lambda", "nan"), ("--lambda", "inf")])
+    def test_non_finite_lr_or_lambda_is_usage_error(self, cohort_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.ckpt"
+        code = main(
+            [
+                "train", "--data", str(cohort_dir), "--hidden", "4", "--epochs", "2",
+                "--patience", "2", flag, value, "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and "must be a finite number" in err and err.rstrip().endswith(f"got {value}")
+        assert not out.exists()
+
     def test_patience_above_epochs_is_usage_error(self, cohort_dir, tmp_path, capsys):
         code = main(
             [
@@ -292,6 +305,10 @@ MALFORMED_CHECKPOINTS = {
     "unknown_hyper_key": lambda h: {**h, "hyper": {**h["hyper"], "depth": 3}},
     "unknown_activation": lambda h: {**h, "hyper": {**h["hyper"], "activation": "tanh"}},
     "negative_dropout": lambda h: {**h, "hyper": {**h["hyper"], "dropout": -0.5}},
+    "dropout_bool": lambda h: {**h, "hyper": {**h["hyper"], "dropout": False}},
+    "fractional_hidden_dim": lambda h: {**h, "hyper": {**h["hyper"], "hidden_dim": 2.5}},
+    "bool_n_layers": lambda h: {**h, "hyper": {**h["hyper"], "n_layers": True}},
+    "string_normalize_adjacency": lambda h: {**h, "hyper": {**h["hyper"], "normalize_adjacency": "false"}},
 }
 
 # Each case maps a valid graph binding to a malformed one.

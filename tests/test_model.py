@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from medgcn import autodiff as ad
 from medgcn.autodiff import Tensor
 from medgcn.errors import CheckpointError, GraphLookupError, ParameterError, ShapeError
 from medgcn.graph import add_encounter, build_graph
@@ -30,6 +31,22 @@ from conftest import make_toy_graph
 from oracles import layer_oracle
 
 SMALL = Hyper(hidden_dim=6, dropout=0.0)
+
+
+def layer_composition(model, graph, *, training=False, rng=None):
+    """forward's reference: every layer through hetero_layer_forward over
+    all node types, then the two sigmoid heads on the encounter rows."""
+    view = make_view(graph, model.hyper.normalize_adjacency)
+    rate = model.hyper.dropout if training else 0.0
+    feats = identity_features(view)
+    for layer in model.layers:
+        feats = hetero_layer_forward(
+            layer, view, feats, activation=model.hyper.activation, training=training, dropout=rate, rng=rng
+        )
+    h = feats["encounter"]
+    p = ad.sigmoid(ad.add_bias(ad.matmul(h, model.head_med_w), model.head_med_b))
+    v = ad.sigmoid(ad.add_bias(ad.matmul(h, model.head_lab_w), model.head_lab_b))
+    return p, v, h
 
 
 def dense(adj):
@@ -79,6 +96,17 @@ class TestInitModel:
             init_model(toy_graph, Hyper(dropout=1.0), seed=0)
         with pytest.raises(ParameterError):
             init_model(toy_graph, Hyper(activation="tanh"), seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_dim", 2.5), ("hidden_dim", True), ("n_layers", True), ("n_layers", 1.0),
+        ("normalize_adjacency", "false"), ("normalize_adjacency", 1), ("dropout", False), ("dropout", "0.1"),
+    ])
+    def test_hyper_field_of_the_wrong_type_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"^{field} must be"):
+            Hyper(**{field: value}).validate()
+
+    def test_hyper_accepts_numpy_integers(self):
+        Hyper(hidden_dim=np.int64(4), n_layers=np.int32(2), dropout=np.float64(0.1)).validate()
 
     def test_multilayer_shapes(self, toy_graph):
         model = init_model(toy_graph, Hyper(hidden_dim=5, n_layers=2, dropout=0.0), seed=0)
@@ -214,22 +242,27 @@ class TestForward:
         np.testing.assert_array_equal(p1.values, p2.values)
         assert not np.array_equal(p1.values, p3.values)
 
-    def test_last_layer_pruning_matches_full(self, toy_graph):
-        model = init_model(toy_graph, SMALL, seed=4)
-        p_pruned, v_pruned, _ = forward(model, toy_graph)
-        p_full, v_full, _ = forward(model, toy_graph, all_types_last_layer=True)
-        np.testing.assert_array_equal(p_pruned.values, p_full.values)
-        np.testing.assert_array_equal(v_pruned.values, v_full.values)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_forward_equals_the_layer_composition(self, toy_graph, n_layers, normalize):
+        hyper = Hyper(hidden_dim=6, n_layers=n_layers, dropout=0.0, normalize_adjacency=normalize)
+        model = init_model(toy_graph, hyper, seed=4)
+        for got, want in zip(forward(model, toy_graph), layer_composition(model, toy_graph)):
+            np.testing.assert_array_equal(got.values, want.values)
 
-    def test_pruning_stable_under_dropout_draws(self, toy_graph):
-        # Projections consume the rng in type order whether or not
-        # non-encounter destinations are skipped.
-        model = init_model(toy_graph, Hyper(hidden_dim=6, dropout=0.3), seed=4)
-        p1, _, _ = forward(model, toy_graph, training=True, rng=np.random.default_rng(0))
-        p2, _, _ = forward(
-            model, toy_graph, training=True, rng=np.random.default_rng(0), all_types_last_layer=True
-        )
-        np.testing.assert_array_equal(p1.values, p2.values)
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("on_view", [False, True])
+    def test_training_forward_equals_the_layer_composition_under_one_rng(self, toy_graph, n_layers, on_view):
+        # The last layer projects with dropout in type order, as
+        # hetero_layer_forward does, so both draw the same masks.
+        model = init_model(toy_graph, Hyper(hidden_dim=6, n_layers=n_layers, dropout=0.3), seed=4)
+        graph = make_view(toy_graph) if on_view else toy_graph
+        rng_got, rng_want = np.random.default_rng(0), np.random.default_rng(0)
+        got = forward(model, graph, training=True, rng=rng_got)
+        want = layer_composition(model, toy_graph, training=True, rng=rng_want)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.values, w.values)
+        assert rng_got.random() == rng_want.random()
 
     def test_two_layer_forward_composes_single_layers(self, toy_graph):
         hyper = Hyper(hidden_dim=5, n_layers=2, dropout=0.0)
@@ -429,12 +462,14 @@ class TestForwardRows:
         add_encounter(toy_graph, "P2", [("L1", 7.0), ("L2", 120.0)], "E5")
         add_encounter(toy_graph, "P1", [], "E6")
         want = forward(model, toy_graph)
+        reference = layer_composition(model, toy_graph)
         # Trained rows, appended rows, and a batch with a repeat.
         for rows in ([0], [3], [4], [5], [5, 0, 4, 4, 2]):
             got = forward(model, toy_graph, rows=rows)
-            for g, w in zip(got, want):
+            for g, w, r in zip(got, want, reference):
                 assert g.shape == (len(rows), w.cols)
                 np.testing.assert_allclose(g.values, w.values[rows], rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(g.values, r.values[rows], rtol=0.0, atol=1e-12)
 
     def test_rows_on_a_view_with_explicit_features(self, toy_graph):
         rng = np.random.default_rng(3)

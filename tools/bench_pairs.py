@@ -31,8 +31,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     """One untraced benchmark run: its metrics and its environment."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-20:])
+        raise SystemExit(f"{checkout}: {workload} seed {seed} exited {proc.returncode}; its stderr ends:\n{tail}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
     if result["failed"]:
         raise SystemExit(f"{checkout}: {result['failed']} of {result['attempted']} {workload} operations failed")
     record = json.loads((checkout / ".perfbench_runs" / f"{workload}-seed{seed}-trace0.json").read_text())
