@@ -72,11 +72,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add g to .grad.  A fresh g (made by the caller for this call and
+        held by nothing else) may become .grad itself; any other g is copied."""
         if g.shape != self.values.shape:
             raise ShapeError(f"gradient shape {g.shape} != value shape {self.values.shape}")
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g if fresh else g.copy()
         else:
             self.grad += g
 
@@ -154,13 +156,14 @@ class Tape:
             backward_fn(g, scratch)
 
 
-def _push(t: Tensor, g: np.ndarray, scratch: dict) -> None:
+def _push(t: Tensor, g: np.ndarray, scratch: dict, fresh: bool = False) -> None:
     """Route a gradient contribution to a tensor: leaves get .grad, interior
-    nodes accumulate in the sweep-local scratch map."""
+    nodes accumulate in the sweep-local scratch map.  fresh marks a g the
+    calling op has just made and passes to nothing else."""
     if not t.requires_grad:
         return
     if t.is_leaf:
-        t.accumulate_grad(g)
+        t.accumulate_grad(g, fresh)
     else:
         # Out of place, so g may be an array another node also holds.
         key = id(t)
@@ -183,9 +186,9 @@ def matmul(a, b) -> Tensor:
 
     def backward_fn(g, scratch):
         if a.requires_grad:
-            _push(a, g @ b.values.T, scratch)
+            _push(a, g @ b.values.T, scratch, fresh=True)
         if b.requires_grad:
-            _push(b, a.values.T @ g, scratch)
+            _push(b, a.values.T @ g, scratch, fresh=True)
 
     _maybe_record(out, backward_fn)
     return out
@@ -267,7 +270,7 @@ def add_bias(a, bias) -> Tensor:
     def backward_fn(g, scratch):
         _push(a, g, scratch)
         if bias.requires_grad:
-            _push(bias, g.sum(axis=0, keepdims=True), scratch)
+            _push(bias, g.sum(axis=0, keepdims=True), scratch, fresh=True)
 
     _maybe_record(out, backward_fn)
     return out
@@ -285,19 +288,72 @@ def relu(a) -> Tensor:
     return out
 
 
+def sum_relu(terms, rectify: bool = True) -> Tensor:
+    """terms[0] + terms[1] + ... summed left to right, then ReLU when
+    rectify is set (identity otherwise): one node with the values and
+    gradients of the chain of add nodes and the relu it stands for.
+
+    terms may be any iterable; each term is added as it arrives and, unless
+    a tape is recording, released before the next is made.
+    """
+    recording = Tape.current() is not None
+    it = iter(terms)
+    first = as_tensor(next(it))
+    shape, requires_grad = first.shape, first.requires_grad
+    kept = [first] if recording else []
+    vals = None
+    for t in it:
+        t = as_tensor(t)
+        if t.shape != shape:
+            raise ShapeError(f"add shape mismatch: {shape} vs {t.shape}")
+        if vals is None:
+            vals = first.values + t.values
+            del first
+        else:
+            vals += t.values
+        requires_grad = requires_grad or t.requires_grad
+        if recording:
+            kept.append(t)
+        # Dropped before the next term is made; kept holds it for a tape.
+        del t
+    if vals is None:
+        if not rectify:
+            return first
+        vals = first.values.copy()
+    _check_finite(vals)
+    if rectify:
+        # out > 0 exactly where the sum is, so backward reads the mask off out.
+        np.maximum(vals, 0.0, out=vals)
+    out = Tensor(vals, requires_grad=requires_grad)
+
+    def backward_fn(g, scratch):
+        if rectify:
+            g = g * (vals > 0.0)
+        for t in kept:
+            _push(t, g, scratch)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
 def sigmoid(a) -> Tensor:
     """Numerically stable logistic function: 1 / (1 + e^-x) for x >= 0 and
     e^x / (1 + e^x) below, both computed from e = exp(-|x|) <= 1."""
     a = as_tensor(a)
     x = a.values
-    e = np.exp(-np.abs(x))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     vals = np.where(x >= 0.0, 1.0, e)
-    vals /= 1.0 + e
+    e += 1.0
+    vals /= e
     out = Tensor(vals, requires_grad=a.requires_grad)
     _check_finite(out.values)
 
     def backward_fn(g, scratch):
-        _push(a, g * vals * (1.0 - vals), scratch)
+        local = g * vals
+        local *= 1.0 - vals
+        _push(a, local, scratch, fresh=True)
 
     _maybe_record(out, backward_fn)
     return out
@@ -379,6 +435,55 @@ def tensor_sum(a) -> Tensor:
     return out
 
 
+def masked_square_error(a, targets: np.ndarray, mask: np.ndarray, c: float) -> Tensor:
+    """c * sum(mask * (a - targets)^2) as one 1x1 node; targets and mask are
+    float64 constants of a's shape.  Value and gradient are those of the
+    chain sub, mul, mul by mask, tensor_sum, scale it stands for."""
+    a = as_tensor(a)
+    c = float(c)
+    d = a.values - targets
+    sq = d * d
+    sq *= mask
+    out = Tensor(np.array([[sq.sum()]]) * c, requires_grad=a.requires_grad)
+    _check_finite(out.values)
+
+    def backward_fn(g, scratch):
+        # The chain's (full(g * c) * mask) * d, once per operand of d * d.
+        t = mask * (g[0, 0] * c)
+        t *= d
+        _push(a, np.add(t, t, out=t), scratch, fresh=True)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
+def logistic_loss(z, rows: np.ndarray, neg_coef: np.ndarray, pos_coef: np.ndarray, c: float) -> Tensor:
+    """c * sum(neg_coef * x + pos_coef * softplus(-x)) over x = z[rows] (distinct
+    rows), as one 1x1 node.  With neg_coef = 1 - y and pos_coef = 1 + (w-1) * y
+    this is the cross entropy of sigmoid(x) against y with positives weighted
+    by w, finite for every finite logit; softplus(-x) = max(-x, 0) + log1p(e^-|x|)."""
+    z = as_tensor(z)
+    c = float(c)
+    x = z.values[rows]
+    e = np.exp(-np.abs(x))
+    softplus = np.maximum(-x, 0.0) + np.log1p(e)
+    out = Tensor(np.array([[(neg_coef * x + pos_coef * softplus).sum()]]) * c, requires_grad=z.requires_grad)
+    _check_finite(out.values)
+
+    def backward_fn(g, scratch):
+        # d softplus(-x)/dx = -sigmoid(-x), taken stably from e.
+        sig_neg = np.where(x >= 0.0, e, 1.0)
+        sig_neg /= 1.0 + e
+        local = neg_coef - pos_coef * sig_neg
+        local *= g[0, 0] * c
+        grad = np.zeros(z.values.shape)
+        grad[rows] = local
+        _push(z, grad, scratch, fresh=True)
+
+    _maybe_record(out, backward_fn)
+    return out
+
+
 def dropout(a, rate: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: zero entries with probability rate and scale
     survivors by 1/(1-rate) during training; identity in eval mode."""
@@ -394,7 +499,7 @@ def dropout(a, rate: float, training: bool, rng: Optional[np.random.Generator] =
     out = Tensor(a.values * factor, requires_grad=a.requires_grad)
 
     def backward_fn(g, scratch):
-        _push(a, g * factor, scratch)
+        _push(a, g * factor, scratch, fresh=True)
 
     _maybe_record(out, backward_fn)
     return out
@@ -418,7 +523,7 @@ def dropout_rows(a, rate: float, training: bool, rng: Optional[np.random.Generat
     out = Tensor(a.values * factor, requires_grad=a.requires_grad)
 
     def backward_fn(g, scratch):
-        _push(a, g * factor, scratch)
+        _push(a, g * factor, scratch, fresh=True)
 
     _maybe_record(out, backward_fn)
     return out

@@ -35,6 +35,7 @@ from .errors import (
     MedGcnError,
     NumericGuardError,
     ParameterError,
+    SplitError,
     TrainingError,
 )
 from .graph import (
@@ -102,7 +103,13 @@ def _load_graph_arg(args) -> MedGraph:
 def _make_plans(graph: MedGraph, split_text: str, seed: int):
     ratios = parse_split_flag(split_text)
     plan_med = make_split(graph, MEDICATION_TASK, ratios, seed)
-    plan_lab = make_split(graph, IMPUTATION_TASK, ratios, seed)
+    try:
+        plan_lab = make_split(graph, IMPUTATION_TASK, ratios, seed)
+    except SplitError as exc:
+        raise SplitError(
+            f"{exc}; train and evaluate always build the {IMPUTATION_TASK} split, "
+            "so the bundle needs at least 3 lab observations even with --task med"
+        ) from None
     return plan_med, plan_lab
 
 

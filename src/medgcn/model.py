@@ -23,6 +23,7 @@ training, the batch pass and row inference (any subset of rows) share.
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, fields
@@ -230,6 +231,29 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
+def _weight_shapes(hyper: Hyper, counts: dict[str, int], dims: dict[str, int]) -> list[tuple[str, tuple[int, int]]]:
+    """Every weight's name and shape, in checkpoint order: per layer one
+    matrix per source type (input width dims[t] in the first layer, then
+    hidden_dim), then the medication and lab heads' weights and bias rows."""
+    h = hyper.hidden_dim
+    shapes = [
+        (f"layer{k}/{t}", (dims[t] if k == 0 else h, h)) for k in range(hyper.n_layers) for t in TYPE_ORDER
+    ]
+    for head, t in (("head_med", NodeType.MEDICATION.value), ("head_lab", NodeType.LAB.value)):
+        shapes += [(f"{head}/w", (h, counts[t])), (f"{head}/b", (1, counts[t]))]
+    return shapes
+
+
+def _assemble(
+    hyper: Hyper, weights: dict[str, Tensor], counts: dict[str, int], dims: dict[str, int], binding: dict
+) -> MedGcnModel:
+    layers = [{t: weights[f"layer{k}/{t}"] for t in TYPE_ORDER} for k in range(hyper.n_layers)]
+    return MedGcnModel(
+        hyper, layers, weights["head_med/w"], weights["head_med/b"], weights["head_lab/w"], weights["head_lab/b"],
+        counts, dims, binding,
+    )
+
+
 def init_model(
     graph: MedGraph,
     hyper: Hyper,
@@ -245,38 +269,16 @@ def init_model(
     counts = {t.value: graph.registry.count(t) for t in NodeType}
     dims = {t: int((feature_dims or {}).get(t, counts[t])) for t in TYPE_ORDER}
     rng = np.random.default_rng(seed)
-
-    layers: list[dict[str, Tensor]] = []
-    in_dims = dict(dims)
-    for _ in range(hyper.n_layers):
-        layer = {
-            t: Tensor(_glorot(rng, in_dims[t], hyper.hidden_dim), requires_grad=True)
-            for t in TYPE_ORDER
-        }
-        layers.append(layer)
-        in_dims = {t: hyper.hidden_dim for t in TYPE_ORDER}
-
-    n_m = counts[NodeType.MEDICATION.value]
-    n_l = counts[NodeType.LAB.value]
-    head_med_w = Tensor(_glorot(rng, hyper.hidden_dim, n_m), requires_grad=True)
-    head_med_b = Tensor(np.zeros((1, n_m)), requires_grad=True)
-    head_lab_w = Tensor(_glorot(rng, hyper.hidden_dim, n_l), requires_grad=True)
-    head_lab_b = Tensor(np.zeros((1, n_l)), requires_grad=True)
-
+    # Drawn in checkpoint order; the bias rows draw nothing.
+    weights = {
+        name: Tensor(np.zeros(shape) if name.endswith("/b") else _glorot(rng, *shape), requires_grad=True)
+        for name, shape in _weight_shapes(hyper, counts, dims)
+    }
     binding = {
         "type_shas": graph.type_shas(),
         "n_encounters": graph.n_encounters,
     }
-    return MedGcnModel(
-        hyper, layers, head_med_w, head_med_b, head_lab_w, head_lab_b,
-        counts, dims, binding,
-    )
-
-
-def _activation(name: str):
-    if name == "relu":
-        return ad.relu
-    return lambda t: t
+    return _assemble(hyper, weights, counts, dims, binding)
 
 
 def _project_type(
@@ -327,18 +329,14 @@ def hetero_layer_forward(
     are projected in declaration order, which fixes the dropout draws."""
     if isinstance(view, MedGraph):
         view = make_view(view)
-    phi = _activation(activation)
     projected = {
         t: _project_type(t, layer[t], features.get(t), view.counts[t], training, dropout, rng)
         for t in view.types
     }
     out: dict[str, Tensor] = {}
     for dst in view.types:
-        z = projected[dst]
-        for (d, src), adj in view.adjacency.items():
-            if d == dst:
-                z = ad.add(z, _propagate(adj, projected[src]))
-        out[dst] = phi(z)
+        propagated = (_propagate(adj, projected[src]) for (d, src), adj in view.adjacency.items() if d == dst)
+        out[dst] = ad.sum_relu(itertools.chain([projected[dst]], propagated), rectify=activation == "relu")
     return out
 
 
@@ -354,7 +352,11 @@ def forward(
     """Full pass: all layers, then both heads on the encounter rows.
 
     Returns (P, V, H_E): medication probabilities, imputed normalized lab
-    values, and the final encounter representations.  Earlier layers run
+    values, and the final encounter representations.  In training mode the
+    first slot holds the medication logits instead of P = sigmoid(logits),
+    because the training loss reads logits (a log loss on probabilities
+    fails once any rounds to 0 or 1); the triple keeps its shape so every
+    caller unpacks it alike.  Earlier layers run
     over the whole graph.  The last layer computes only the encounter rows
     listed in rows (ordinals, inference only; None means every encounter),
     each from its own adjacency rows, so a one-layer model scores a row
@@ -383,20 +385,21 @@ def forward(
         feats = hetero_layer_forward(
             layer, view, feats, activation=model.hyper.activation, training=training, dropout=rate, rng=rng
         )
-    if rows is None:
-        z = _project_type(ENCOUNTER, last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], training, rate, rng)
-    else:
-        z = _project_rows(last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], index)
-    for src, adj in sources.items():
-        projected = _project_type(src, last[src], feats.get(src), counts[src], training, rate, rng)
-        z = ad.add(z, _propagate(adj, projected))
-    return _heads(model, _activation(model.hyper.activation)(z))
 
+    def terms():
+        # Made one at a time as the sum consumes them, in type order, which
+        # fixes the dropout draws.
+        if rows is None:
+            yield _project_type(ENCOUNTER, last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], training, rate, rng)
+        else:
+            yield _project_rows(last[ENCOUNTER], feats.get(ENCOUNTER), counts[ENCOUNTER], index)
+        for src, adj in sources.items():
+            yield _propagate(adj, _project_type(src, last[src], feats.get(src), counts[src], training, rate, rng))
 
-def _heads(model: MedGcnModel, h_e: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    p = ad.sigmoid(ad.add_bias(ad.matmul(h_e, model.head_med_w), model.head_med_b))
+    h_e = ad.sum_relu(terms(), rectify=model.hyper.activation == "relu")
+    z_med = ad.add_bias(ad.matmul(h_e, model.head_med_w), model.head_med_b)
     v = ad.sigmoid(ad.add_bias(ad.matmul(h_e, model.head_lab_w), model.head_lab_b))
-    return p, v, h_e
+    return (z_med if training else ad.sigmoid(z_med)), v, h_e
 
 
 def _check_rows(rows, n_encounters: int) -> np.ndarray:
@@ -490,35 +493,43 @@ def model_from_bytes(blob: bytes) -> MedGcnModel:
 def _model_from_header(header: dict, blob: bytes, offset: int) -> MedGcnModel:
     hyper = Hyper.from_dict(header["hyper"])
     hyper.validate()
+    counts = _checked_counts(header, "trained_counts")
+    dims = _checked_counts(header, "feat_dims")
+    expected = _weight_shapes(hyper, counts, dims)
+    listed = [(entry["name"], (entry["rows"], entry["cols"])) for entry in header["weights"]]
+    if listed != expected:
+        k = next((k for k, (a, b) in enumerate(zip(listed, expected)) if a != b), min(len(listed), len(expected)))
+
+        def show(entries):
+            return f"{entries[k][0]} {entries[k][1][0]}x{entries[k][1][1]}" if k < len(entries) else "none"
+
+        raise CheckpointError(
+            f"checkpoint weights do not follow from its header: weight {k} is {show(listed)}, expected {show(expected)}"
+        )
     weights: dict[str, Tensor] = {}
-    for entry in header["weights"]:
-        n = entry["rows"] * entry["cols"] * 8
+    for name, (rows, cols) in expected:
+        n = rows * cols * 8
         raw = blob[offset : offset + n]
         if len(raw) != n:
-            raise CheckpointError(f"checkpoint truncated in weight {entry['name']}")
-        weights[entry["name"]] = Tensor(
-            np.frombuffer(raw, dtype="<f8").reshape(entry["rows"], entry["cols"]).copy(),
-            requires_grad=True,
-        )
+            raise CheckpointError(f"checkpoint truncated in weight {name}")
+        weights[name] = Tensor(np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy(), requires_grad=True)
         offset += n
+    if offset != len(blob):
+        raise CheckpointError(f"checkpoint has {len(blob) - offset} bytes after its last weight")
+    return _assemble(hyper, weights, counts, dims, _checked_binding(header["graph_binding"]))
 
-    layers = []
-    for k in range(hyper.n_layers):
-        try:
-            layers.append({t: weights[f"layer{k}/{t}"] for t in TYPE_ORDER})
-        except KeyError as exc:
-            raise CheckpointError(f"checkpoint missing weight {exc}") from None
-    return MedGcnModel(
-        hyper,
-        layers,
-        weights["head_med/w"],
-        weights["head_med/b"],
-        weights["head_lab/w"],
-        weights["head_lab/b"],
-        {k: int(v) for k, v in header["trained_counts"].items()},
-        {k: int(v) for k, v in header["feat_dims"].items()},
-        _checked_binding(header["graph_binding"]),
-    )
+
+def _checked_counts(header: dict, key: str) -> dict[str, int]:
+    """header[key] once it maps each node type, and nothing else, to an
+    integer >= 0."""
+    value = header[key]
+    if not (
+        isinstance(value, dict)
+        and sorted(value) == sorted(TYPE_ORDER)
+        and all(isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in value.values())
+    ):
+        raise CheckpointError(f"corrupt checkpoint header: {key!r} must map each node type to an integer >= 0")
+    return {t: value[t] for t in TYPE_ORDER}
 
 
 def _checked_binding(binding) -> dict:

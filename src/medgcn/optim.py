@@ -36,8 +36,11 @@ class Adam:
     state: list[AdamState] = field(default_factory=list, init=False)
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ParameterError(f"learning rate must be positive, got {self.lr}")
+        # Chained so that NaN, which fails every comparison, is rejected too.
+        if not 0.0 < self.lr < np.inf:
+            raise ParameterError(f"learning rate must be a finite number > 0, got {self.lr}")
+        if not 0.0 < self.eps < np.inf:
+            raise ParameterError(f"eps must be a finite number > 0, got {self.eps}")
         if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
             raise ParameterError("betas must lie in [0, 1)")
         if not self.params:

@@ -6,13 +6,21 @@ medication rows and L_L is a mask-screened squared error over observed
 lab entries.  Single-task modes wire only one loss into the tape; the
 other is still computed gradient-free for the epoch log.
 
+Training computes L_M in logit space (medication_logit_loss), on the
+medication head's logits, so it stays finite where a probability would
+round to 0 or 1; the probability-space loss_medication, with its guard
+against such probabilities, is the reference and serves only the epoch
+log of lab-only training.  Each loss is one tape node whose constants are
+built once per run.
+
 Training is full batch: one forward over the whole training-view graph
-per epoch, validation after every epoch, best checkpoint kept as bytes,
-early stop after `patience` epochs without strict improvement.
+per epoch, validation after every epoch, the best epoch's weights kept by
+copy, early stop after `patience` epochs without strict improvement.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -52,6 +60,34 @@ TASK_MODES = (TASK_BOTH, TASK_MEDICATION, TASK_LAB)
 
 METRIC_LRAP = "lrap"
 METRIC_MSE = "mse"
+
+# Training has diverged once an epoch's loss exceeds the first epoch's by
+# this factor.  The logit-space loss stays finite however far the weights
+# run off, so a non-finite loss alone no longer catches a runaway step size.
+DIVERGENCE_FACTOR = 1e6
+
+
+# mallopt parameters of glibc's <malloc.h>.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_heap() -> None:
+    """Ask the C library's malloc to keep freed memory for reuse, process-wide.
+
+    An epoch frees and re-allocates tens of MB of float64 arrays.  glibc by
+    default maps arrays above a few MB afresh and returns the heap top to
+    the kernel once a few MB of it lie free, so each epoch re-faulted that
+    memory page by page: about a fifth of an epoch on a 2-core VM.  Arrays
+    below 32 MB now come from the heap, which keeps up to 256 MB free.  A
+    no-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 @dataclass(frozen=True)
@@ -168,15 +204,36 @@ def loss_medication(
     return ad.scale(ad.tensor_sum(inner), -1.0 / n_rows)
 
 
+def medication_logit_loss(
+    targets: np.ndarray, weight: float, rows: np.ndarray
+) -> Callable[[Tensor], Tensor]:
+    """loss_medication over the distinct rows in rows as a function of the
+    logits Z, not of P = sigmoid(Z), so it stays finite where P would round
+    to 0 or 1.  The constants are built here once; each call of the returned
+    function adds one tape node."""
+    targets = np.asarray(targets, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise ParameterError("medication loss needs at least one included row")
+    y = targets[rows]
+    neg_coef, pos_coef = 1.0 - y, 1.0 + (weight - 1.0) * y
+
+    def loss(z: Tensor) -> Tensor:
+        if z.shape != targets.shape:
+            raise ShapeError(f"logits {z.shape} and targets {targets.shape} must match")
+        return ad.logistic_loss(z, rows, neg_coef, pos_coef, 1.0 / rows.size)
+
+    return loss
+
+
 def loss_lab(v: Tensor, targets: np.ndarray, mask: np.ndarray, n_rows: Optional[int] = None) -> Tensor:
-    """Mask-screened squared error divided by n_rows encounter rows (default v's rows)."""
+    """Mask-screened squared error divided by n_rows encounter rows (default
+    v's rows), as one tape node."""
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if not v.shape == targets.shape == mask.shape:
         raise ShapeError(f"values {v.shape}, targets {targets.shape}, mask {mask.shape} must match")
-    diff = ad.sub(v, Tensor(targets))
-    masked = ad.mul(Tensor(mask), ad.mul(diff, diff))
-    return ad.scale(ad.tensor_sum(masked), 1.0 / (v.rows if n_rows is None else n_rows))
+    return ad.masked_square_error(v, targets, mask, 1.0 / (v.rows if n_rows is None else n_rows))
 
 
 def loss_combined(l_med: Tensor, l_lab: Tensor, lam: float) -> Tensor:
@@ -278,6 +335,7 @@ def train(
     config.validate()
     hyper = hyper if hyper is not None else Hyper()
     hyper.validate()
+    _keep_freed_heap()
     data = prepare_training_data(graph, plan_med, plan_lab)
     med_active = config.task_mode in (TASK_BOTH, TASK_MEDICATION)
     lab_in_loss = config.task_mode == TASK_LAB or (
@@ -304,7 +362,12 @@ def train(
     report.untrained_val = validate(p0.values[val_rows], v0.values[val_rows])
 
     weight = data.class_weight.weight if data.class_weight is not None else float("nan")
-    best_bytes = model_to_bytes(model)
+    if med_active:
+        med_loss = medication_logit_loss(data.view.a_em, weight, data.train_rows)
+    lab_mask = data.view.m_el.astype(np.float64)
+    # The best epoch's weights are copied into arrays allocated once; the
+    # checkpoint image is written once, after the loop.
+    best_values = [t.values.copy() for t in model.parameters()]
     best_val = -np.inf if maximize else np.inf
     best_epoch = 0
 
@@ -323,11 +386,12 @@ def train(
         l_med_t: Optional[Tensor] = None
         l_lab_t: Optional[Tensor] = None
         with Tape() as tape:
-            p, v, _ = forward(model, view, training=True, rng=drop_rng)
+            # In training mode forward's first output is the medication logits.
+            z_med, v, _ = forward(model, view, training=True, rng=drop_rng)
             if med_active:
-                l_med_t = loss_medication(p, data.view.a_em, weight, data.train_rows)
+                l_med_t = med_loss(z_med)
             if lab_in_loss:
-                l_lab_t = loss_lab(v, data.lab_targets, data.view.m_el)
+                l_lab_t = loss_lab(v, data.lab_targets, lab_mask)
             if med_active and lab_in_loss:
                 loss = loss_combined(l_med_t, l_lab_t, config.lam)
             else:
@@ -335,6 +399,13 @@ def train(
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise TrainingError(f"training diverged: non-finite loss at epoch {epoch}")
+        if epoch == 1:
+            first_loss = loss_value
+        elif loss_value > DIVERGENCE_FACTOR * first_loss:
+            raise TrainingError(
+                f"training diverged: loss {loss_value:.6g} at epoch {epoch} is over "
+                f"{DIVERGENCE_FACTOR:g} times the first epoch's {first_loss:.6g}; lower --lr"
+            )
         tape.backward(loss)
         opt.step()
 
@@ -353,7 +424,7 @@ def train(
             loss_lab_val = float(l_lab_t.item())
         else:
             v_log = Tensor(v_eval.values[log_at])
-            targets, mask = data.lab_targets[log_rows], data.view.m_el[log_rows]
+            targets, mask = data.lab_targets[log_rows], lab_mask[log_rows]
             loss_lab_val = float(loss_lab(v_log, targets, mask, data.view.n_encounters).item())
         val_value = validate(p_eval.values[val_at], v_eval.values[val_at])
         report.epochs.append(EpochRecord(epoch, loss_med_val, loss_lab_val, val_value))
@@ -362,7 +433,8 @@ def train(
         if improved:
             best_val = val_value
             best_epoch = epoch
-            best_bytes = model_to_bytes(model)
+            for saved, t in zip(best_values, model.parameters()):
+                np.copyto(saved, t.values)
         if epoch - best_epoch >= config.patience:
             report.stop_reason = "patience"
             break
@@ -371,7 +443,9 @@ def train(
 
     report.best_epoch = best_epoch
     report.best_val = float(best_val) if np.isfinite(best_val) else float("nan")
-    return model_from_bytes(best_bytes), report
+    for saved, t in zip(best_values, model.parameters()):
+        t.values = saved
+    return model_from_bytes(model_to_bytes(model)), report
 
 
 def evaluate_split(

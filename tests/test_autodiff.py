@@ -421,3 +421,119 @@ class TestDropout:
 
 def test_module_exposes_finite_check_flag():
     assert isinstance(ad.CHECK_FINITE, bool)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestSumRelu:
+    """sum_relu stands for the chain add(...add(add(t0, t1), t2)...) then
+    relu (or identity); values and gradients must be the chain's bit for bit."""
+
+    @staticmethod
+    def graph(n_terms, shared):
+        # Terms come from a dense product, a gather (membership product), a
+        # scatter (transposed membership) and the self term; with shared
+        # set, the self term also feeds the gather, so its gradient sums
+        # contributions from inside and outside the fused node.
+        rng = np.random.default_rng(n_terms)
+        n, h = 5, 3
+        leaves = {
+            "self": Tensor(rng.standard_normal((n, h)), requires_grad=True),
+            "dense_w": Tensor(rng.standard_normal((4, h)), requires_grad=True),
+            "gather_w": Tensor(rng.standard_normal((3, h)), requires_grad=True),
+            "scatter_w": Tensor(rng.standard_normal((7, h)), requires_grad=True),
+        }
+        adj = (rng.random((n, 4)) < 0.5).astype(float)
+        gather_index = np.array([0, 2, 2, 1, 0])
+        scatter_index = np.array([0, 4, 1, 1, 3, 0, 2])
+        upstream = rng.standard_normal((n, h))
+
+        def terms():
+            self_term = scale(leaves["self"], 1.5)
+            out = [self_term]
+            if shared:
+                out.append(take_rows(self_term, np.array([4, 3, 2, 1, 0])))
+            else:
+                out.append(take_rows(leaves["gather_w"], gather_index))
+            out.append(matmul(Tensor(adj), leaves["dense_w"]))
+            out.append(scatter_rows(leaves["scatter_w"], scatter_index, n))
+            return out[:n_terms], upstream
+
+        return leaves, terms
+
+    @staticmethod
+    def run(leaves, terms, fused, relu_on):
+        for leaf in leaves.values():
+            leaf.zero_grad()
+        with Tape() as tape:
+            parts, upstream = terms()
+            if fused:
+                out = ad.sum_relu(parts, rectify=relu_on)
+            else:
+                out = parts[0]
+                for t in parts[1:]:
+                    out = add(out, t)
+                out = relu(out) if relu_on else out
+            loss = tensor_sum(mul(out, Tensor(upstream)))
+        tape.backward(loss)
+        return out.values, {name: leaf.grad for name, leaf in leaves.items()}
+
+    @pytest.mark.parametrize("n_terms", [2, 3, 4])
+    @pytest.mark.parametrize("relu_on", [True, False])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_matches_the_add_chain_and_activation(self, n_terms, relu_on, shared):
+        leaves, terms = self.graph(n_terms, shared)
+        want_values, want_grads = self.run(leaves, terms, False, relu_on)
+        got_values, got_grads = self.run(leaves, terms, True, relu_on)
+        assert _bits(got_values) == _bits(want_values)
+        for name, want in want_grads.items():
+            got = got_grads[name]
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert _bits(got) == _bits(want), name
+
+    def test_one_identity_term_is_passed_through(self):
+        a = Tensor(np.ones((2, 2)), requires_grad=True)
+        assert ad.sum_relu([a], rectify=False) is a
+
+    def test_is_one_tape_node_with_one_finite_check(self, monkeypatch):
+        checks = []
+        monkeypatch.setattr(ad, "_check_finite", lambda values: checks.append(values.shape))
+        parts = [Tensor(np.ones((2, 3)), requires_grad=True) for _ in range(4)]
+        with Tape() as tape:
+            ad.sum_relu(parts)
+        assert len(tape) == 1 and checks == [(2, 3)]
+
+    def test_non_finite_sum_raises(self):
+        big = Tensor(np.full((1, 2), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NumericGuardError):
+            ad.sum_relu([big, big])
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            ad.sum_relu([Tensor(np.ones((2, 2))), Tensor(np.ones((2, 3)))])
+
+
+class TestFreshGradients:
+    def test_a_leaf_on_both_sides_of_a_product_sums_both_gradients(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, -1.0]]), requires_grad=True)
+        with Tape() as tape:
+            loss = tensor_sum(matmul(x, x))
+        tape.backward(loss)
+        ones = np.ones((2, 2))
+        np.testing.assert_array_equal(x.grad, ones @ x.values.T + x.values.T @ ones)
+
+    def test_leaf_keeps_its_own_gradient_across_backward_calls(self):
+        rng = np.random.default_rng(3)
+        w = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 2)), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 3)))
+        with Tape() as tape:
+            loss = tensor_sum(dropout_rows(add_bias(matmul(x, w), b), 0.5, True, np.random.default_rng(0)))
+        tape.backward(loss)
+        first_w, first_b = w.grad.copy(), b.grad.copy()
+        tape.backward(loss)
+        np.testing.assert_array_equal(w.grad, 2.0 * first_w)
+        np.testing.assert_array_equal(b.grad, 2.0 * first_b)

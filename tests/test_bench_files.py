@@ -48,3 +48,35 @@ def test_bench_pairs_reports_a_failing_run(tmp_path):
     message = str(raised.value)
     assert message.startswith(f"{tmp_path}: serve seed 107 exited 1;")
     assert message.endswith("set-up log line\nstage serve failed: reference mismatch")
+
+
+LOWER = {"better": "lower", "bound": 0.25}
+
+
+def _pairs(parent, change):
+    return [{"parent": p, "change": c} for p, c in zip(parent, change)]
+
+
+@pytest.mark.parametrize("parent, change, claimed, word", [
+    # Change wins all ten pairs, by more than the parent's quartile spread.
+    ([100 + k for k in range(10)], [80 + k for k in range(10)], True, "gain"),
+    # The same numbers without a claim only hold.
+    ([100 + k for k in range(10)], [80 + k for k in range(10)], False, "holds"),
+    # A claimed metric that wins only 8 of 10 pairs is no gain.
+    ([100 + k for k in range(10)], [80 + k for k in range(8)] + [120, 121], True, "holds"),
+    # A median 30 % worse than the parent's breaks the 25 % bound.
+    ([100 + k for k in range(10)], [130 + k for k in range(10)], False, "regression"),
+    # The parent's own spread (quartiles 55-145) is wider than the bound.
+    ([10, 40, 50, 60, 100, 100, 140, 150, 160, 190], [100] * 10, False, "unresolved"),
+    # Equal medians within a tight spread.
+    ([100 + k % 2 for k in range(10)], [100 + (k + 1) % 2 for k in range(10)], False, "holds"),
+])
+def test_bench_pairs_verdict(parent, change, claimed, word):
+    assert _load_bench_pairs().verdict(LOWER, _pairs(parent, change), claimed)["verdict"] == word
+
+
+def test_bench_pairs_verdict_reads_higher_is_better():
+    higher = {"better": "higher", "bound": 0.25}
+    parent, change = [100 + k for k in range(10)], [130 + k for k in range(10)]
+    result = _load_bench_pairs().verdict(higher, _pairs(parent, change), True)
+    assert result["verdict"] == "gain" and result["change_wins"] == 10

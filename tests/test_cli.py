@@ -15,6 +15,7 @@ from medgcn.cli import main, parse_split_flag
 from medgcn.data_io import load_csv_bundle
 from medgcn.errors import ParameterError
 from medgcn.graph import MEDICATION_TASK, NodeType, make_split
+from medgcn.model import Hyper, init_model, save_model
 
 SPEC_TEXT = """\
 n_patients = 25
@@ -168,6 +169,19 @@ class TestTrain:
         assert code == 2
         assert "error: imputation split needs at least 3 lab observations, got 0" in capsys.readouterr().err
 
+    def test_medication_task_without_lab_rows_names_the_remedy(self, tmp_path, capsys):
+        (tmp_path / "patients.csv").write_text("patient_id\nP1\n")
+        (tmp_path / "encounters.csv").write_text("encounter_id,patient_id\nE1,P1\nE2,P1\nE3,P1\nE4,P1\n")
+        (tmp_path / "lab_results.csv").write_text("encounter_id,lab_code,value\n")
+        (tmp_path / "prescriptions.csv").write_text("encounter_id,med_code\nE1,M1\nE2,M1\nE3,M2\nE4,M1\n")
+        out = tmp_path / "m.ckpt"
+        code = main(["train", "--data", str(tmp_path), "--task", "med", "--hidden", "4", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: imputation split needs at least 3 lab observations, got 0; ")
+        assert "train and evaluate always build the imputation split" in err and "even with --task med" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("task, message", [
         ("both", "the medication validation split has no prescription for lrap; change --split"),
         ("lab", "the imputation validation split has no lab observation for mse; change --split"),
@@ -309,6 +323,17 @@ MALFORMED_CHECKPOINTS = {
     "fractional_hidden_dim": lambda h: {**h, "hyper": {**h["hyper"], "hidden_dim": 2.5}},
     "bool_n_layers": lambda h: {**h, "hyper": {**h["hyper"], "n_layers": True}},
     "string_normalize_adjacency": lambda h: {**h, "hyper": {**h["hyper"], "normalize_adjacency": "false"}},
+    # The weights must be exactly those the header implies, in order.
+    "hidden_dim_narrower_than_weights": lambda h: {**h, "hyper": {**h["hyper"], "hidden_dim": 9}},
+    "more_layers_than_weights": lambda h: {**h, "hyper": {**h["hyper"], "n_layers": 2}},
+    "trained_counts_disagree_with_heads": lambda h: {
+        **h, "trained_counts": {**h["trained_counts"], "medication": h["trained_counts"]["medication"] + 1}},
+    "feat_dims_disagree_with_layer": lambda h: {**h, "feat_dims": {**h["feat_dims"], "lab": h["feat_dims"]["lab"] + 1}},
+    "feat_dims_missing_a_type": lambda h: {**h, "feat_dims": {k: v for k, v in h["feat_dims"].items() if k != "lab"}},
+    "fractional_trained_count": lambda h: {**h, "trained_counts": {**h["trained_counts"], "lab": 2.5}},
+    "weights_out_of_order": lambda h: {**h, "weights": h["weights"][1::-1] + h["weights"][2:]},
+    "weight_renamed": lambda h: {**h, "weights": [
+        {**w, "name": "head_lab/bias"} if w["name"] == "head_lab/b" else w for w in h["weights"]]},
 }
 
 # Each case maps a valid graph binding to a malformed one.
@@ -346,6 +371,28 @@ class TestMalformedCheckpoint:
         )
         code, err = self._recommend(cohort_dir, path, capsys)
         assert code == 4 and err.startswith("error: corrupt checkpoint header: 'graph_binding'")
+
+    def test_two_layer_checkpoint_edited_to_one_layer_exits_4(self, cohort_dir, tmp_path, capsys):
+        # The header's n_layers once decided how many layers were read, so the
+        # second layer's weights were skipped and the model served layer 0
+        # straight into the heads.
+        path = tmp_path / "two.ckpt"
+        model = init_model(load_csv_bundle(cohort_dir), Hyper(hidden_dim=8, n_layers=2), seed=3)
+        save_model(model, path)
+        assert self._recommend(cohort_dir, path, capsys)[0] == 0
+        edited = _rewrite_checkpoint_header(path.read_bytes(), lambda h: {**h, "hyper": {**h["hyper"], "n_layers": 1}})
+        path.write_bytes(edited)
+        code, err = self._recommend(cohort_dir, path, capsys)
+        assert code == 4
+        assert err.startswith(
+            "error: checkpoint weights do not follow from its header: weight 4 is layer1/encounter 8x8, expected head_med/w 8x"
+        )
+
+    def test_bytes_after_the_last_weight_exit_4(self, cohort_dir, checkpoint, tmp_path, capsys):
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(checkpoint.read_bytes() + b"\0" * 8)
+        code, err = self._recommend(cohort_dir, path, capsys)
+        assert code == 4 and "8 bytes after its last weight" in err
 
     def test_unchanged_header_still_loads(self, cohort_dir, checkpoint, tmp_path, capsys):
         path = tmp_path / "same.ckpt"

@@ -35,7 +35,8 @@ SMALL = Hyper(hidden_dim=6, dropout=0.0)
 
 def layer_composition(model, graph, *, training=False, rng=None):
     """forward's reference: every layer through hetero_layer_forward over
-    all node types, then the two sigmoid heads on the encounter rows."""
+    all node types, then the two sigmoid heads on the encounter rows; in
+    training mode the medication head's logits, as forward returns them."""
     view = make_view(graph, model.hyper.normalize_adjacency)
     rate = model.hyper.dropout if training else 0.0
     feats = identity_features(view)
@@ -44,9 +45,9 @@ def layer_composition(model, graph, *, training=False, rng=None):
             layer, view, feats, activation=model.hyper.activation, training=training, dropout=rate, rng=rng
         )
     h = feats["encounter"]
-    p = ad.sigmoid(ad.add_bias(ad.matmul(h, model.head_med_w), model.head_med_b))
+    z = ad.add_bias(ad.matmul(h, model.head_med_w), model.head_med_b)
     v = ad.sigmoid(ad.add_bias(ad.matmul(h, model.head_lab_w), model.head_lab_b))
-    return p, v, h
+    return (z if training else ad.sigmoid(z)), v, h
 
 
 def dense(adj):

@@ -125,3 +125,13 @@ class TestAdam:
             tape.backward(loss)
             opt.step()
         assert abs(w.values[0, 0] - 3.0) < 1e-4
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0},
+    {"eps": 0.0}, {"eps": -1e-8}, {"eps": float("nan")}, {"eps": float("inf")},
+])
+def test_non_finite_or_non_positive_lr_and_eps_rejected(kwargs):
+    # A NaN lr used to construct and then write NaN weights on the first step.
+    with pytest.raises(ParameterError):
+        Adam([Tensor(np.ones((2, 2)), requires_grad=True)], **kwargs)

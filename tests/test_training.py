@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from medgcn import autodiff as ad
 from medgcn.autodiff import Tape, Tensor
-from medgcn.errors import NumericGuardError, ParameterError, TrainingError
+from medgcn.errors import NumericGuardError, ParameterError, ShapeError, TrainingError
 from medgcn.graph import IMPUTATION_TASK, MEDICATION_TASK, make_split
 from medgcn.metrics import lrap, masked_mse
 from medgcn.model import Hyper, forward, init_model, model_to_bytes
@@ -18,6 +19,7 @@ from medgcn.training import (
     loss_combined,
     loss_lab,
     loss_medication,
+    medication_logit_loss,
     prepare_training_data,
     train,
 )
@@ -121,6 +123,99 @@ class TestLossLab:
         l1 = loss_lab(Tensor([[0.5, 0.1], [0.2, 0.3]]), a, m).item()
         l2 = loss_lab(Tensor([[0.5, 0.9], [0.8, 0.7]]), a, m).item()
         assert l1 == l2
+
+
+def _composed_loss_lab(v, targets, mask, n_rows=None):
+    """loss_lab as the chain of tape nodes it fuses."""
+    diff = ad.sub(v, Tensor(targets))
+    masked = ad.mul(Tensor(mask), ad.mul(diff, diff))
+    return ad.scale(ad.tensor_sum(masked), 1.0 / (v.rows if n_rows is None else n_rows))
+
+
+class TestFusedLossLab:
+    @pytest.mark.parametrize("n_rows", [None, 11])
+    @pytest.mark.parametrize("upstream", [1.0, -0.37])
+    def test_value_and_gradient_equal_the_composition_bit_for_bit(self, n_rows, upstream):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
+        targets = rng.random((6, 5))
+        mask = (rng.random((6, 5)) < 0.5).astype(float)
+        results = []
+        for loss_fn in (loss_lab, _composed_loss_lab):
+            x.zero_grad()
+            with Tape() as tape:
+                # v is an interior node, as the lab head's output is.
+                loss = ad.scale(loss_fn(ad.sigmoid(x), targets, mask, n_rows), upstream)
+            tape.backward(loss)
+            results.append((loss.values.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_is_one_tape_node(self):
+        v = Tensor(np.full((2, 2), 0.5), requires_grad=True)
+        with Tape() as tape:
+            loss_lab(v, np.zeros((2, 2)), np.ones((2, 2)))
+        assert len(tape) == 1
+
+
+class TestMedicationLogitLoss:
+    @staticmethod
+    def case(seed):
+        # Logits within a few units of 0, where the probability-space loss
+        # is still accurate to rounding.
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((9, 6)) * 2.0
+        targets = (rng.random((9, 6)) < 0.3).astype(float)
+        rows = np.array([0, 2, 3, 5, 8])
+        return z, targets, rows, float(rng.uniform(1.0, 30.0))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_probability_space_loss(self, seed):
+        z_vals, targets, rows, weight = self.case(seed)
+        grads = []
+        for via_logits in (True, False):
+            z = Tensor(z_vals, requires_grad=True)
+            with Tape() as tape:
+                if via_logits:
+                    loss = medication_logit_loss(targets, weight, rows)(z)
+                else:
+                    loss = loss_medication(ad.sigmoid(z), targets, weight, rows)
+            tape.backward(loss)
+            grads.append((loss.item(), z.grad))
+        (got, got_grad), (want, want_grad) = grads
+        assert got == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-9, atol=1e-15)
+        outside = np.setdiff1d(np.arange(z_vals.shape[0]), rows)
+        assert not got_grad[outside].any()
+
+    def test_stays_finite_where_probabilities_saturate(self):
+        z_vals = np.array([[800.0, -800.0, 800.0, -800.0]])
+        targets = np.array([[1.0, 0.0, 0.0, 1.0]])
+        with pytest.raises(NumericGuardError):
+            loss_medication(ad.sigmoid(Tensor(z_vals)), targets, 3.0)
+        z = Tensor(z_vals, requires_grad=True)
+        with Tape() as tape:
+            loss = medication_logit_loss(targets, 3.0, np.array([0]))(z)
+        tape.backward(loss)
+        # Right answers cost nothing; a wrong one costs |z|, a missed
+        # positive three times over.
+        assert loss.item() == 800.0 + 3.0 * 800.0
+        np.testing.assert_array_equal(z.grad, [[0.0, 0.0, 1.0, -3.0]])
+
+    def test_weight_scales_the_positive_term_only(self):
+        z = Tensor(np.zeros((1, 2)))
+        targets = np.array([[1.0, 0.0]])
+        l1 = medication_logit_loss(targets, 1.0, np.array([0]))(z).item()
+        l5 = medication_logit_loss(targets, 5.0, np.array([0]))(z).item()
+        assert l5 - l1 == pytest.approx(4.0 * np.log(2.0), abs=1e-12)
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ParameterError):
+            medication_logit_loss(np.ones((2, 2)), 1.0, np.array([], dtype=int))
+
+    def test_width_mismatch_rejected(self):
+        loss = medication_logit_loss(np.ones((2, 2)), 1.0, np.array([0]))
+        with pytest.raises(ShapeError):
+            loss(Tensor(np.zeros((2, 3))))
 
 
 class TestLossCombined:
@@ -280,6 +375,30 @@ class TestTrainLoop:
         with pytest.raises((TrainingError, NumericGuardError)):
             train(g, *toy_plans(g), quick_config(lr=1e9, max_epochs=50), FAST)
 
+    def test_runaway_learning_rate_stops_as_divergence(self):
+        # The logit-space loss stays finite however far the weights run, so
+        # divergence is read from the loss growing past its first value.
+        g = make_toy_graph()
+        with pytest.raises(TrainingError, match="training diverged: loss .* times the first epoch's"):
+            train(g, *toy_plans(g), quick_config(lr=1e9, max_epochs=50), FAST)
+
+    def test_checkpoint_image_written_once_per_run(self, monkeypatch):
+        # The best epoch is kept by copying weights; the image is built
+        # once, after the loop.
+        import medgcn.training as training_mod
+
+        calls = []
+
+        def counted(model):
+            calls.append(1)
+            return model_to_bytes(model)
+
+        monkeypatch.setattr(training_mod, "model_to_bytes", counted)
+        g = make_toy_graph()
+        model, report = train(g, *toy_plans(g), quick_config(max_epochs=8, patience=8), FAST)
+        assert len(calls) == 1
+        assert report.best_epoch >= 1
+
     def test_dropout_lives_in_hyper_only(self):
         assert "dropout" not in {f.name for f in dataclasses.fields(TrainConfig)}
         g = make_toy_graph()
@@ -315,6 +434,21 @@ class TestTrainLoop:
         first = lines[1].split("\t")
         assert int(first[0]) == 1
         assert float(first[1]) == report.epochs[0].loss_med
+
+
+@pytest.mark.parametrize("task_mode", ["both", "medication"])
+def test_high_learning_rate_trains_without_a_numeric_guard(task_mode):
+    # At lr 0.05 some training probabilities round to exactly 0 or 1 within
+    # 40 epochs; a log loss over probabilities aborted there, while the
+    # logit-space loss trains on.
+    graph = generate_synthetic(SyntheticSpec(n_encounters=300)).graph
+    ratios = (0.72, 0.08, 0.2)
+    plans = make_split(graph, MEDICATION_TASK, ratios, 0), make_split(graph, IMPUTATION_TASK, ratios, 0)
+    config = TrainConfig(lr=0.05, max_epochs=60, patience=60, seed=0, task_mode=task_mode)
+    _, report = train(graph, *plans, config, Hyper(hidden_dim=64))
+    assert len(report.epochs) == 60
+    assert all(np.isfinite(e.loss_med) for e in report.epochs)
+    assert report.best_val > report.untrained_val
 
 
 @pytest.mark.parametrize("normalize", [False, True])
