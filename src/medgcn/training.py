@@ -3,19 +3,22 @@
 The combined objective is  L = L_M + lambda * L_L  where L_M is a
 class-reweighted binary cross entropy over training encounters'
 medication rows and L_L is a mask-screened squared error over observed
-lab entries.  Single-task modes wire only one loss into the tape; the
-other is still computed gradient-free for the epoch log.
+lab entries.  Single-task modes put only one loss in the objective; the
+epoch log holds both, each read from the epoch's training forward, so a
+logged loss is that of the model the epoch started from, under the
+epoch's dropout.
 
 Training computes L_M in logit space (medication_logit_loss), on the
 medication head's logits, so it stays finite where a probability would
 round to 0 or 1; the probability-space loss_medication, with its guard
-against such probabilities, is the reference and serves only the epoch
-log of lab-only training.  Each loss is one tape node whose constants are
-built once per run.
+against such probabilities, is the reference the logit-space loss is
+checked against.  Each loss is one tape node whose constants are built
+once per run.
 
 Training is full batch: one forward over the whole training-view graph
-per epoch, validation after every epoch, the best epoch's weights kept by
-copy, early stop after `patience` epochs without strict improvement.
+per epoch, validation on the validation rows after every step, the best
+epoch's weights kept by copy, early stop after `patience` epochs without
+strict improvement.
 """
 
 from __future__ import annotations
@@ -226,14 +229,14 @@ def medication_logit_loss(
     return loss
 
 
-def loss_lab(v: Tensor, targets: np.ndarray, mask: np.ndarray, n_rows: Optional[int] = None) -> Tensor:
-    """Mask-screened squared error divided by n_rows encounter rows (default
-    v's rows), as one tape node."""
+def loss_lab(v: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mask-screened squared error divided by v's encounter rows, as one tape
+    node."""
     targets = np.asarray(targets, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if not v.shape == targets.shape == mask.shape:
         raise ShapeError(f"values {v.shape}, targets {targets.shape}, mask {mask.shape} must match")
-    return ad.masked_square_error(v, targets, mask, 1.0 / (v.rows if n_rows is None else n_rows))
+    return ad.masked_square_error(v, targets, mask, 1.0 / v.rows)
 
 
 def loss_combined(l_med: Tensor, l_lab: Tensor, lam: float) -> Tensor:
@@ -242,17 +245,21 @@ def loss_combined(l_med: Tensor, l_lab: Tensor, lam: float) -> Tensor:
     return ad.add(l_med, ad.scale(l_lab, lam))
 
 
+def _objective_terms(task_mode: str, lam: float) -> tuple[bool, bool]:
+    """Whether the medication loss and the lab loss enter the objective.  A
+    zero lambda drops the lab term entirely, making both-mode training
+    identical to medication-only."""
+    return task_mode != TASK_LAB, task_mode == TASK_LAB or (task_mode == TASK_BOTH and lam > 0.0)
+
+
 def active_parameters(model: MedGcnModel, task_mode: str, lam: float = 1.0) -> list[Tensor]:
     """Layer weights always train; a head trains only when its loss term is
-    in the objective, so the idle head provably receives no updates.  A
-    zero lambda drops the lab term entirely, making both-mode wiring
-    identical to medication-only."""
-    params = []
-    for layer in model.layers:
-        params.extend(layer[t] for t in ("encounter", "patient", "lab", "medication"))
-    if task_mode in (TASK_BOTH, TASK_MEDICATION):
+    in the objective, so the idle head provably receives no updates."""
+    med_in_loss, lab_in_loss = _objective_terms(task_mode, lam)
+    params = [layer[t] for layer in model.layers for t in ("encounter", "patient", "lab", "medication")]
+    if med_in_loss:
         params.extend([model.head_med_w, model.head_med_b])
-    if task_mode == TASK_LAB or (task_mode == TASK_BOTH and lam > 0.0):
+    if lab_in_loss:
         params.extend([model.head_lab_w, model.head_lab_b])
     return params
 
@@ -337,11 +344,8 @@ def train(
     hyper.validate()
     _keep_freed_heap()
     data = prepare_training_data(graph, plan_med, plan_lab)
-    med_active = config.task_mode in (TASK_BOTH, TASK_MEDICATION)
-    lab_in_loss = config.task_mode == TASK_LAB or (
-        config.task_mode == TASK_BOTH and config.lam > 0.0
-    )
-    if med_active and data.class_weight is None:
+    med_in_loss, lab_in_loss = _objective_terms(config.task_mode, config.lam)
+    if med_in_loss and data.class_weight is None:
         raise ParameterError("medication loss active but the training view has no positive edges")
     val_rows, validate = _validation(config, data)
 
@@ -361,9 +365,9 @@ def train(
     view = make_view(data.view, hyper.normalize_adjacency)
     report.untrained_val = validate(p0.values[val_rows], v0.values[val_rows])
 
-    weight = data.class_weight.weight if data.class_weight is not None else float("nan")
-    if med_active:
-        med_loss = medication_logit_loss(data.view.a_em, weight, data.train_rows)
+    med_loss = None
+    if data.class_weight is not None:
+        med_loss = medication_logit_loss(data.view.a_em, data.class_weight.weight, data.train_rows)
     lab_mask = data.view.m_el.astype(np.float64)
     # The best epoch's weights are copied into arrays allocated once; the
     # checkpoint image is written once, after the loop.
@@ -371,31 +375,21 @@ def train(
     best_val = -np.inf if maximize else np.inf
     best_epoch = 0
 
-    # The post-step forward scores only the rows the epoch reads: validation
-    # rows, then those of a logged loss not on the tape (loss_med: training
-    # rows; loss_lab: rows with observed labs).
-    log_rows = np.zeros(0, dtype=np.int64)
-    if not med_active and data.class_weight is not None:
-        log_rows = data.train_rows
-    elif not lab_in_loss:
-        log_rows = np.flatnonzero(data.view.m_el.any(axis=1))
-    eval_rows = np.union1d(val_rows, log_rows)
-    val_at, log_at = np.searchsorted(eval_rows, val_rows), np.searchsorted(eval_rows, log_rows)
-
     for epoch in range(1, config.max_epochs + 1):
-        l_med_t: Optional[Tensor] = None
-        l_lab_t: Optional[Tensor] = None
         with Tape() as tape:
             # In training mode forward's first output is the medication logits.
             z_med, v, _ = forward(model, view, training=True, rng=drop_rng)
-            if med_active:
-                l_med_t = med_loss(z_med)
-            if lab_in_loss:
-                l_lab_t = loss_lab(v, data.lab_targets, lab_mask)
-            if med_active and lab_in_loss:
-                loss = loss_combined(l_med_t, l_lab_t, config.lam)
+            l_med = med_loss(z_med) if med_in_loss else None
+            l_lab = loss_lab(v, data.lab_targets, lab_mask) if lab_in_loss else None
+            if l_med is None or l_lab is None:
+                loss = l_lab if l_med is None else l_med
             else:
-                loss = l_med_t if med_active else l_lab_t
+                loss = loss_combined(l_med, l_lab, config.lam)
+        # The idle task's loss is logged from the same forward, off the tape.
+        if l_med is None and med_loss is not None:
+            l_med = med_loss(z_med)
+        if l_lab is None:
+            l_lab = loss_lab(v, data.lab_targets, lab_mask)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise TrainingError(f"training diverged: non-finite loss at epoch {epoch}")
@@ -409,25 +403,10 @@ def train(
         tape.backward(loss)
         opt.step()
 
-        p_eval, v_eval, _ = forward(model, view, rows=eval_rows)
-        # Both component losses go in the log even when only one trains;
-        # the inactive one is computed gradient-free from the post-step
-        # evaluation forward.
-        if l_med_t is not None:
-            loss_med_val = float(l_med_t.item())
-        elif data.class_weight is not None:
-            p_log = Tensor(p_eval.values[log_at])
-            loss_med_val = float(loss_medication(p_log, data.view.a_em[log_rows], weight).item())
-        else:
-            loss_med_val = float("nan")
-        if l_lab_t is not None:
-            loss_lab_val = float(l_lab_t.item())
-        else:
-            v_log = Tensor(v_eval.values[log_at])
-            targets, mask = data.lab_targets[log_rows], lab_mask[log_rows]
-            loss_lab_val = float(loss_lab(v_log, targets, mask, data.view.n_encounters).item())
-        val_value = validate(p_eval.values[val_at], v_eval.values[val_at])
-        report.epochs.append(EpochRecord(epoch, loss_med_val, loss_lab_val, val_value))
+        p_val, v_val, _ = forward(model, view, rows=val_rows)
+        val_value = validate(p_val.values, v_val.values)
+        loss_med_val = float(l_med.item()) if l_med is not None else float("nan")
+        report.epochs.append(EpochRecord(epoch, loss_med_val, float(l_lab.item()), val_value))
 
         improved = val_value > best_val if maximize else val_value < best_val
         if improved:
