@@ -22,6 +22,9 @@ keeps held-out values out of the statistics, only replaces lab_norm.
 Within-type adjacency is an implicit identity: it is never stored and the
 model realizes it as a self-term.
 
+After add_encounter, a_ep, m_el, a_em and raw_el may be leading-row views
+of larger buffers the graph owns, so an append copies no earlier rows.
+
 Graph files (save_graph / load_graph) start with the magic line MEDGRAPH3
 and a one-line JSON header, followed by a_ep as little-endian int64, m_el
 as one 0/1 byte per cell, and a_em and raw_el as little-endian float64.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
@@ -171,7 +175,9 @@ def _sha256_lines(lines: Iterable[str]) -> str:
 
 @dataclass
 class MedGraph:
-    """The assembled graph.  Immutable after build except add_encounter."""
+    """The assembled graph.  Immutable after build except add_encounter,
+    which may leave a_ep, m_el, a_em and raw_el as leading-row views of
+    buffers the graph owns."""
 
     registry: NodeRegistry
     a_ep: np.ndarray
@@ -179,6 +185,9 @@ class MedGraph:
     a_em: np.ndarray
     raw_el: np.ndarray
     lab_norm: np.ndarray  # (N_L, 2) columns: training min, max in original units
+    # add_encounter's [row buffers, the views of them it last bound]; a
+    # class attribute, not a field, so copy() and load_graph start without.
+    _rows = None
 
     @property
     def a_el(self) -> np.ndarray:
@@ -229,6 +238,8 @@ class MedGraph:
             raise IntegrityError("a_em must be binary")
         if np.any(self.raw_el[~self.m_el] != 0.0):
             raise IntegrityError("raw_el must be zero wherever m_el is False")
+        if not np.isfinite(self.raw_el).all():
+            raise IntegrityError("raw_el must hold finite lab values")
 
     def fingerprint(self) -> str:
         """Hash of all registry ID lists; binds plans and views to a graph."""
@@ -553,7 +564,8 @@ def add_encounter(
 
     Lab values are stored raw and read normalized under the graph's
     frozen ranges (clamped); the medication row starts all zero.  Patient
-    and labs must already exist.
+    and labs must already exist and values must be finite.  Each append
+    fills a spare row of buffers grown by a quarter when full: amortized O(1).
     """
     p = graph.registry.ordinal(NodeType.PATIENT, patient_id)
     resolved: list[tuple[int, float]] = []
@@ -562,8 +574,11 @@ def add_encounter(
         j = graph.registry.ordinal(NodeType.LAB, lab_id)
         if j in seen:
             raise IntegrityError(f"duplicate lab observation for new encounter, lab {lab_id!r}")
+        value = float(value)
+        if not math.isfinite(value):
+            raise IntegrityError(f"non-finite value {value!r} for lab {lab_id!r}")
         seen.add(j)
-        resolved.append((j, float(value)))
+        resolved.append((j, value))
 
     if encounter_id is None:
         k = graph.n_encounters
@@ -572,15 +587,25 @@ def add_encounter(
         encounter_id = f"new-encounter-{k}"
     ordinal = graph.registry.add(NodeType.ENCOUNTER, encounter_id)
 
+    names = ("a_ep", "m_el", "a_em", "raw_el")
+    fields = [getattr(graph, name) for name in names]
+    n = len(fields[0])
+    rows = graph._rows
+    # Write in place only while the fields are the views last bound to
+    # these buffers: a field set from outside, or a shallow copy whose
+    # sibling has appended since, gets fresh buffers.
+    if rows is None or n == len(rows[0][0]) or any(f is not v for f, v in zip(fields, rows[1])):
+        rows = graph._rows = [[np.empty((n + 1 + n // 4, *f.shape[1:]), f.dtype) for f in fields], None]
+        for buf, f in zip(rows[0], fields):
+            buf[:n] = f
+    a_ep, m_el, a_em, raw_el = rows[0]
+    a_ep[n], m_el[n], a_em[n], raw_el[n] = p, False, 0.0, 0.0
     cols = [j for j, _ in resolved]
-    raw = np.zeros((1, graph.n_labs))
-    mask = np.zeros(raw.shape, dtype=bool)
-    raw[0, cols] = [value for _, value in resolved]
-    mask[0, cols] = True
-    graph.a_ep = np.append(graph.a_ep, np.int64(p))
-    graph.m_el = np.vstack([graph.m_el, mask])
-    graph.a_em = np.vstack([graph.a_em, np.zeros((1, graph.n_medications))])
-    graph.raw_el = np.vstack([graph.raw_el, raw])
+    m_el[n, cols] = True
+    raw_el[n, cols] = [value for _, value in resolved]
+    rows[1] = [buf[: n + 1] for buf in rows[0]]
+    for name, view in zip(names, rows[1]):
+        setattr(graph, name, view)
     return ordinal
 
 

@@ -38,6 +38,23 @@ def scatter_add_oracle(index, values, n):
     return out
 
 
+def append_encounter_oracle(a_ep, m_el, a_em, raw_el, patient, labs):
+    """The four per-encounter arrays with one encounter appended by
+    concatenation: patient ordinal patient, lab column j observed at value
+    x for each (j, x) in labs, no medications."""
+    mask = np.zeros((1, m_el.shape[1]), dtype=bool)
+    raw = np.zeros((1, raw_el.shape[1]))
+    for j, x in labs:
+        mask[0, j] = True
+        raw[0, j] = x
+    return (
+        np.append(a_ep, np.int64(patient)),
+        np.vstack([m_el, mask]),
+        np.vstack([a_em, np.zeros((1, a_em.shape[1]))]),
+        np.vstack([raw_el, raw]),
+    )
+
+
 def rank_desc(scores):
     """1-based descending-score ranks with average ranks on ties."""
     scores = np.asarray(scores, dtype=float)

@@ -1,5 +1,6 @@
 """Graph construction, normalization, splitting, masking, and persistence."""
 
+import copy
 import dataclasses
 import json
 
@@ -27,8 +28,13 @@ from medgcn.graph import (
     save_graph,
     sparsity,
 )
+from medgcn.model import Membership, make_view
+from medgcn.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import TOY_ENCOUNTERS, TOY_LAB_RESULTS, TOY_PATIENTS, TOY_PRESCRIPTIONS, make_toy_graph
+from oracles import append_encounter_oracle
+
+APPENDED = ("a_ep", "m_el", "a_em", "raw_el")
 
 
 class TestStoredLabs:
@@ -477,6 +483,127 @@ class TestAddEncounter:
         # Old encounter list is still a prefix of the new one.
         assert toy_graph.encounter_prefix_sha(4) == make_toy_graph().encounter_prefix_sha(4)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "nan"])
+    def test_non_finite_value_rejected_before_any_change(self, toy_graph, value):
+        add_encounter(toy_graph, "P1", [("L1", 1.0)])  # leaves spare rows behind the fields
+        fields = [getattr(toy_graph, name) for name in APPENDED]
+        with pytest.raises(IntegrityError, match=r"non-finite value -?(nan|inf) for lab 'L2'"):
+            add_encounter(toy_graph, "P2", [("L1", 4.0), ("L2", value)], "E9")
+        assert toy_graph.n_encounters == 5 and not toy_graph.registry.contains(NodeType.ENCOUNTER, "E9")
+        assert all(getattr(toy_graph, name) is f for name, f in zip(APPENDED, fields))
+        toy_graph.validate()
+
+    def test_validate_rejects_non_finite_lab_values(self, toy_graph):
+        toy_graph.raw_el[0, 0] = np.inf  # E1 observes L1
+        with pytest.raises(IntegrityError, match="finite"):
+            toy_graph.validate()
+
+
+def _small_cohort():
+    spec = SyntheticSpec(n_patients=30, n_encounters=60, n_labs=40, n_meds=12, seed=3)
+    return generate_synthetic(spec).graph
+
+
+def _arrivals(graph, seed, count):
+    """(patient ordinal, [(lab ordinal, value)]) for count arrivals of known
+    patients, each lab observed at the cohort's own rate."""
+    rng = np.random.default_rng(seed)
+    rate = float(graph.m_el.mean())
+    return [
+        (int(rng.integers(graph.n_patients)),
+         [(int(j), float(rng.normal(0.5, 0.3))) for j in np.flatnonzero(rng.random(graph.n_labs) < rate)])
+        for _ in range(count)
+    ]
+
+
+def _append(graph, patient, labs, encounter_id=None):
+    reg = graph.registry
+    return add_encounter(
+        graph, reg.id_at(NodeType.PATIENT, patient), [(reg.id_at(NodeType.LAB, j), x) for j, x in labs], encounter_id
+    )
+
+
+class TestAppendCapacity:
+    def test_appends_match_the_concatenating_oracle(self, tmp_path):
+        graph = _small_cohort()
+        want = tuple(getattr(graph, name) for name in APPENDED)
+        for patient, labs in _arrivals(graph, seed=11, count=300):
+            _append(graph, patient, labs)
+            want = append_encounter_oracle(*want, patient, labs)
+            for name, mat in zip(APPENDED, want):
+                got = getattr(graph, name)
+                assert (got.dtype, got.shape) == (mat.dtype, mat.shape) and got.tobytes() == mat.tobytes(), name
+        assert graph.n_encounters == 360 and 0.1 < graph.m_el[60:].mean() < 0.3
+        graph.validate()
+        save_graph(graph, tmp_path / "grown")
+        save_graph(MedGraph(graph.registry, *want, graph.lab_norm), tmp_path / "oracle")
+        assert (tmp_path / "grown").read_bytes() == (tmp_path / "oracle").read_bytes()
+        copied = graph.copy()
+        for name in APPENDED:
+            assert getattr(copied, name).flags.owndata and not getattr(graph, name).flags.owndata
+            assert getattr(copied, name).tobytes() == getattr(graph, name).tobytes()
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("first", ["original", "twin"])
+    def test_shallow_copies_do_not_see_each_others_rows(self, toy_graph, warm, first):
+        if warm:
+            add_encounter(toy_graph, "P1", [])  # fields become views with spare rows behind them
+        twin = copy.copy(toy_graph)  # shares the fields and the buffers behind them
+        twin.registry = toy_graph.registry.copy()
+        n = toy_graph.n_encounters
+        appends = {"original": (toy_graph, "P1", ("L1", 3.0)), "twin": (twin, "P2", ("L2", 120.0))}
+        for who in (first, *(set(appends) - {first})):
+            graph, patient, lab = appends[who]
+            assert add_encounter(graph, patient, [lab], "NEW") == n
+        assert toy_graph.raw_el[n].tolist() == [3.0, 0.0, 0.0] and toy_graph.m_el[n].tolist() == [True, False, False]
+        assert twin.raw_el[n].tolist() == [0.0, 120.0, 0.0] and twin.m_el[n].tolist() == [False, True, False]
+        assert (toy_graph.a_ep[n], twin.a_ep[n]) == (0, 1)
+        np.testing.assert_array_equal(toy_graph.raw_el[:n], twin.raw_el[:n])
+        toy_graph.validate()
+        twin.validate()
+
+    def test_fields_set_after_an_append_are_kept(self, toy_graph):
+        add_encounter(toy_graph, "P1", [("L1", 1.0)])
+        toy_graph.lab_norm = np.vstack([toy_graph.lab_norm, [2.0, 2.0]])
+        toy_graph.registry.add(NodeType.LAB, "L4")
+        for name in ("m_el", "raw_el"):
+            mat = getattr(toy_graph, name)
+            setattr(toy_graph, name, np.hstack([mat, np.zeros((mat.shape[0], 1), dtype=mat.dtype)]))
+        toy_graph.a_em = np.ones_like(toy_graph.a_em)
+        add_encounter(toy_graph, "P2", [("L4", 5.0)])
+        add_encounter(toy_graph, "P1", [("L3", 0.5)])
+        assert toy_graph.raw_el.shape == (7, 4)
+        assert toy_graph.raw_el[4:].tolist() == [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 5.0], [0.0, 0.0, 0.5, 0.0]]
+        assert toy_graph.a_em[:5].all() and not toy_graph.a_em[5:].any()
+        assert toy_graph.a_el[5, 3] == 0.5  # the degenerate 2..2 range
+        toy_graph.validate()
+
+    def test_a_view_built_before_appends_is_unchanged(self, toy_graph):
+        add_encounter(toy_graph, "P1", [("L1", 1.0)])
+
+        def snapshot(view):
+            return {
+                pair: (adj.index if isinstance(adj, Membership) else adj).tobytes()
+                for pair, adj in view.adjacency.items()
+            }
+
+        view = make_view(toy_graph)
+        before = snapshot(view)
+        for patient, labs in _arrivals(toy_graph, seed=4, count=20):
+            _append(toy_graph, patient, labs)
+        assert snapshot(view) == before
+        view.validate()
+
+    def test_buffers_grow_geometrically(self, toy_graph):
+        buffers = []  # held, so that no freed buffer's identity is reused
+        for _ in range(2000):
+            add_encounter(toy_graph, "P1", [("L2", 110.0)])
+            if not any(toy_graph.raw_el.base is b for b in buffers):
+                buffers.append(toy_graph.raw_el.base)
+        assert len(buffers) <= 40
+        assert toy_graph.n_encounters == 2004 and toy_graph.raw_el[4:, 1].tolist() == [110.0] * 2000
+        toy_graph.validate()
+
 
 class TestSerialization:
     def test_roundtrip_bitwise(self, toy_graph, tmp_path):
@@ -584,6 +711,17 @@ class TestMalformedGraphFile:
         assert payload[mask_start] == 1  # E1 observes L1
         _write_graph_file(path, magic, header, payload[:mask_start] + b"\x02" + payload[mask_start + 1 :])
         with pytest.raises(IntegrityError, match="byte other than 0 or 1"):
+            load_graph(path)
+
+    def test_non_finite_lab_value_rejected(self, toy_graph, tmp_path):
+        path = tmp_path / "g.medgraph"
+        save_graph(toy_graph, path)
+        magic, header, payload = _split_graph_file(path)
+        raw_start = len(payload) - toy_graph.raw_el.nbytes
+        assert payload[raw_start : raw_start + 8] == np.float64(5.0).tobytes()  # E1's L1
+        poisoned = payload[:raw_start] + np.float64(np.nan).tobytes() + payload[raw_start + 8 :]
+        _write_graph_file(path, magic, header, poisoned)
+        with pytest.raises(IntegrityError, match="finite"):
             load_graph(path)
 
     def test_graph_file_stores_the_mask_as_bytes(self, toy_graph, tmp_path):
