@@ -44,7 +44,6 @@ from .graph import (
     MedGraph,
     NodeType,
     add_encounter,
-    build_graph,
     graph_stats,
     load_graph,
     make_split,
@@ -59,6 +58,7 @@ from .training import (
     TASK_MEDICATION,
     TrainConfig,
     evaluate_split,
+    keep_freed_heap,
     train,
 )
 
@@ -149,7 +149,7 @@ def cmd_synth(args) -> int:
 
 def cmd_build_graph(args) -> int:
     records = read_bundle_records(args.data)
-    graph = build_graph(records.patients, records.encounters, records.lab_results, records.prescriptions)
+    graph = records.graph()
     save_graph(graph, args.out)
     for name, count in records.row_counts().items():
         print(f"{name}: {count} rows")
@@ -329,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    keep_freed_heap()
     try:
         return args.func(args)
     except (MedGcnError, OSError) as exc:

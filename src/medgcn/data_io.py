@@ -10,16 +10,17 @@ csv.reader tokenizes each file; the checks then run on whole columns
 with array operations (a dict lookup of a column for references, a
 first-index map or an (encounter, code) mask for repeats, float() and
 np.isfinite for values) and report the earliest offending file:line,
-naming the first check that line fails.  Graph assembly is left to
-build_graph.  Rows for encounters that arrive after training
-(read_new_encounters) pass the same checks.
+naming the first check that line fails (a file that is not UTF-8 or
+not CSV, by name).  BundleRecords.graph assembles the graph from the
+ordinals and values the checks computed.  Rows for encounters that
+arrive after training (read_new_encounters) pass the same checks.
 All numeric output uses repr, which round-trips float64 exactly.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
@@ -28,7 +29,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import IngestionError, ShapeError
-from .graph import Columns, MedGraph, NodeRegistry, NodeType, _first, _first_repeat, _pair_faults, build_graph
+from .graph import Columns, MedGraph, NodeRegistry, NodeType, _first, _first_repeat, _pair_faults, graph_from_edges
+from .graph import build_graph  # noqa: F401  (re-exported: perfbench/tracing.py binds data_io.build_graph)
 
 BUNDLE_FILES = {
     "patients.csv": ["patient_id"],
@@ -52,6 +54,12 @@ class BundleRecords:
     encounters: Columns  # (encounter_id, patient_id)
     lab_results: Columns  # (encounter_id, lab_code, value)
     prescriptions: Columns  # (encounter_id, med_code)
+    graph_args: tuple = field(repr=False, compare=False)
+
+    def graph(self) -> MedGraph:
+        """The graph of these records, from graph_args: the registry and
+        ordinals that read_bundle_records' checks computed."""
+        return graph_from_edges(*self.graph_args)
 
     def row_counts(self) -> dict[str, int]:
         rows = (self.patients, self.encounters, self.lab_results, self.prescriptions)
@@ -69,24 +77,28 @@ def _read_rows(path: Path, expected_header: list[str]) -> tuple[list[int], list[
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path.name}:1: empty file, expected header {','.join(expected_header)}") from None
-        if [h.strip() for h in header] != expected_header:
-            raise IngestionError(
-                f"{path.name}:1: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
-            )
-        first = 2
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            lengths = list(map(len, rows))
-            if set(lengths) - {0, width}:
-                i = next(i for i, n in enumerate(lengths) if n not in (0, width))
-                raise IngestionError(f"{path.name}:{first + i}: expected {width} columns, got {lengths[i]}")
-            linenos.extend(compress(range(first, first + len(rows)), lengths))
-            rows = list(compress(rows, lengths))
-            for k, column in enumerate(columns):
-                column.extend(map(str.strip, map(itemgetter(k), rows)))
-            first += len(lengths)
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path.name}:1: empty file, expected header {','.join(expected_header)}")
+            if [h.strip() for h in header] != expected_header:
+                raise IngestionError(
+                    f"{path.name}:1: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
+                )
+            first = 2
+            while rows := list(islice(reader, _CHUNK_ROWS)):
+                lengths = list(map(len, rows))
+                if set(lengths) - {0, width}:
+                    i = next(i for i, n in enumerate(lengths) if n not in (0, width))
+                    raise IngestionError(f"{path.name}:{first + i}: expected {width} columns, got {lengths[i]}")
+                linenos.extend(compress(range(first, first + len(rows)), lengths))
+                rows = list(compress(rows, lengths))
+                for k, column in enumerate(columns):
+                    column.extend(map(str.strip, map(itemgetter(k), rows)))
+                first += len(lengths)
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise IngestionError(f"{path.name}:{reader.line_num}: {exc}") from None
     return linenos, columns
 
 
@@ -113,39 +125,43 @@ def _parse_floats(values: list[str]) -> tuple[list[float], Optional[int]]:
 
 def _check_encounter_rows(
     linenos, columns, patients: Optional[NodeRegistry] = None, existing: Iterable[str] = ()
-) -> Columns:
-    """encounters.csv rows in file order.  Rejects encounter IDs repeated in
-    the file or already in existing and, when a patient registry is given,
-    patients outside it."""
+) -> tuple[Columns, Optional[np.ndarray]]:
+    """encounters.csv rows in file order and, when a patient registry is
+    given, each row's patient ordinal.  Rejects encounter IDs repeated in
+    the file or already in existing and patients outside the registry."""
     eids, pids = columns
     existing = list(existing)
     repeat = _first_repeat([*existing, *eids])
     faults = [(None if repeat is None else repeat - len(existing), lambda i: f"duplicate encounter_id {eids[i]!r}")]
+    a_ep = None
     if patients is not None:
-        unknown = _first(patients.ordinals(NodeType.PATIENT, pids) < 0)
-        faults.append((unknown, lambda i: f"unknown patient_id {pids[i]!r}"))
+        a_ep = patients.ordinals(NodeType.PATIENT, pids)
+        faults.append((_first(a_ep < 0), lambda i: f"unknown patient_id {pids[i]!r}"))
     _raise_earliest("encounters.csv", linenos, faults)
-    return Columns(eids, pids)
+    return Columns(eids, pids), a_ep
 
 
-def _check_lab_rows(linenos, columns, known: NodeRegistry) -> Columns:
-    """lab_results.csv rows in file order with parsed values.  Rejects
-    encounters the registry lacks, a repeated (encounter, lab) pair, and
-    values that are not finite numbers."""
+def _check_lab_rows(linenos, columns, known: NodeRegistry) -> tuple[Columns, np.ndarray, list[str], np.ndarray]:
+    """lab_results.csv rows in file order with parsed values, then their
+    (encounter, lab) ordinal pairs, the lab codes in first-appearance order
+    and the values as float64.  Rejects encounters the registry lacks, a
+    repeated (encounter, lab) pair, and values that are not finite numbers."""
     eids, codes, values = columns
-    unknown, repeat, _, _ = _pair_faults(known, eids, codes)
+    unknown, repeat, distinct, pairs = _pair_faults(known, eids, codes)
     parsed, non_numeric = _parse_floats(values)
+    floats = np.array(parsed, dtype=np.float64)
     _raise_earliest("lab_results.csv", linenos, [
         (unknown, lambda i: f"unknown encounter_id {eids[i]!r}"),
         (repeat, lambda i: f"duplicate observation for {eids[i]!r}, {codes[i]!r}"),
         (non_numeric, lambda i: f"non-numeric value {values[i]!r}"),
-        (_first(~np.isfinite(parsed)), lambda i: f"non-finite value {values[i]!r}"),
+        (_first(~np.isfinite(floats)), lambda i: f"non-finite value {values[i]!r}"),
     ])
-    return Columns(eids, codes, parsed)
+    return Columns(eids, codes, parsed), pairs, distinct, floats
 
 
 def read_bundle_records(directory) -> BundleRecords:
-    """Parse and cross-validate the four bundle CSVs."""
+    """Parse and cross-validate the four bundle CSVs.  The records keep the
+    ordinals the checks computed, for BundleRecords.graph."""
     directory = Path(directory)
     raw = {name: _read_rows(directory / name, header) for name, header in BUNDLE_FILES.items()}
 
@@ -153,17 +169,19 @@ def read_bundle_records(directory) -> BundleRecords:
     repeat = _first_repeat(patients)
     _raise_earliest("patients.csv", linenos, [(repeat, lambda i: f"duplicate patient_id {patients[i]!r}")])
     known = NodeRegistry({NodeType.PATIENT: patients})
-    encounters = _check_encounter_rows(*raw["encounters.csv"], known)
+    encounters, a_ep = _check_encounter_rows(*raw["encounters.csv"], known)
     known.extend(NodeType.ENCOUNTER, encounters.fields[0])
-    lab_results = _check_lab_rows(*raw["lab_results.csv"], known)
+    lab_results, labs, lab_codes, values = _check_lab_rows(*raw["lab_results.csv"], known)
 
     linenos, (eids, codes) = raw["prescriptions.csv"]
-    unknown, repeat, _, _ = _pair_faults(known, eids, codes)
+    unknown, repeat, med_codes, meds = _pair_faults(known, eids, codes)
     _raise_earliest("prescriptions.csv", linenos, [
         (unknown, lambda i: f"unknown encounter_id {eids[i]!r}"),
         (repeat, lambda i: f"duplicate prescription for {eids[i]!r}, {codes[i]!r}"),
     ])
-    return BundleRecords(patients, encounters, lab_results, Columns(eids, codes))
+    known.extend(NodeType.LAB, lab_codes)
+    known.extend(NodeType.MEDICATION, med_codes)
+    return BundleRecords(patients, encounters, lab_results, Columns(eids, codes), (known, a_ep, labs, values, meds))
 
 
 def read_new_encounters(
@@ -180,21 +198,20 @@ def read_new_encounters(
     are appended to.
     """
     directory = Path(directory)
-    encounters = _check_encounter_rows(
+    encounters, _ = _check_encounter_rows(
         *_read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"]), existing=existing_ids
     )
     labs: dict[str, list[tuple[str, float]]] = {eid: [] for eid, _ in encounters}
     lab_path = directory / "lab_results.csv"
     if lab_path.is_file():
         rows = _read_rows(lab_path, BUNDLE_FILES["lab_results.csv"])
-        for eid, code, value in _check_lab_rows(*rows, NodeRegistry({NodeType.ENCOUNTER: encounters.fields[0]})):
+        for eid, code, value in _check_lab_rows(*rows, NodeRegistry({NodeType.ENCOUNTER: encounters.fields[0]}))[0]:
             labs[eid].append((code, value))
     return [(eid, pid, labs[eid]) for eid, pid in encounters]
 
 
 def load_csv_bundle(directory) -> MedGraph:
-    records = read_bundle_records(directory)
-    return build_graph(records.patients, records.encounters, records.lab_results, records.prescriptions)
+    return read_bundle_records(directory).graph()
 
 
 def write_csv_bundle(graph: MedGraph, directory) -> None:

@@ -318,8 +318,7 @@ def _edge_ordinals(
 
 class Columns(abc.Sequence):
     """Records held as one list per field.  Reads as the sequence of tuples
-    it stands for, and gives build_graph its fields without rebuilding
-    them."""
+    it stands for."""
 
     def __init__(self, *fields: list):
         self.fields = fields
@@ -337,8 +336,6 @@ class Columns(abc.Sequence):
 
 
 def _columns(records: Sequence[Sequence], width: int) -> list[list]:
-    if isinstance(records, Columns):
-        return list(records.fields)
     return [list(map(itemgetter(k), records)) for k in range(width)]
 
 
@@ -358,26 +355,37 @@ def build_graph(
     of the ranges.
     """
     eids, pids = _columns(encounters, 2)
-    a_ep = NodeRegistry({NodeType.PATIENT: patients}).ordinals(NodeType.PATIENT, pids)
+    registry = NodeRegistry({NodeType.PATIENT: patients})
+    a_ep = registry.ordinals(NodeType.PATIENT, pids)
     unknown = _first(a_ep < 0)
     # Encounters register only up to the first unknown patient, so a
     # repeated encounter ID before it is the error raised.
-    registry = NodeRegistry({NodeType.PATIENT: patients, NodeType.ENCOUNTER: eids[:unknown]})
+    registry.extend(NodeType.ENCOUNTER, eids[:unknown])
     if unknown is not None:
         raise IntegrityError(f"encounter {eids[unknown]!r} references unknown patient {pids[unknown]!r}")
 
     lab_eids, lab_codes, values = _columns(lab_results, 3)
     labs = _edge_ordinals(registry, lab_eids, lab_codes, NodeType.LAB, "lab observation")
     meds = _edge_ordinals(registry, *_columns(prescriptions, 2), NodeType.MEDICATION, "prescription")
+    return graph_from_edges(registry, a_ep, labs, np.fromiter(map(float, values), np.float64, len(values)), meds)
 
+
+def graph_from_edges(
+    registry: NodeRegistry, a_ep: np.ndarray, labs: np.ndarray, values: np.ndarray, meds: np.ndarray
+) -> MedGraph:
+    """A MedGraph from checked ordinals: each encounter's patient (a_ep) and
+    the distinct (encounter, lab) and (encounter, medication) pairs as
+    (n, 2) int64 arrays, with a float64 value per lab pair."""
     n_e = registry.count(NodeType.ENCOUNTER)
     raw_el = np.zeros((n_e, registry.count(NodeType.LAB)))
     m_el = np.zeros(raw_el.shape, dtype=bool)
     a_em = np.zeros((n_e, registry.count(NodeType.MEDICATION)))
-    raw_el[labs[:, 0], labs[:, 1]] = list(map(float, values))
+    raw_el[labs[:, 0], labs[:, 1]] = values
     m_el[labs[:, 0], labs[:, 1]] = True
     a_em[meds[:, 0], meds[:, 1]] = 1.0
-    return assemble_graph(registry, a_ep, raw_el, m_el, a_em)
+    graph = MedGraph(registry, a_ep, m_el, a_em, raw_el, _fit_ranges(raw_el, m_el))
+    graph.validate()
+    return graph
 
 
 def assemble_graph(

@@ -483,14 +483,14 @@ def model_from_bytes(blob: bytes) -> MedGcnModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
     try:
-        return _model_from_header(header, blob, header_end + 1)
+        return _model_from_header(header, memoryview(blob), header_end + 1)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint missing field {exc}") from None
     except (TypeError, ValueError, ParameterError) as exc:
         raise CheckpointError(f"corrupt checkpoint header: {exc}") from None
 
 
-def _model_from_header(header: dict, blob: bytes, offset: int) -> MedGcnModel:
+def _model_from_header(header: dict, blob: memoryview, offset: int) -> MedGcnModel:
     hyper = Hyper.from_dict(header["hyper"])
     hyper.validate()
     counts = _checked_counts(header, "trained_counts")

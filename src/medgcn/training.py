@@ -74,15 +74,15 @@ DIVERGENCE_FACTOR = 1e6
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-def _keep_freed_heap() -> None:
+def keep_freed_heap() -> None:
     """Ask the C library's malloc to keep freed memory for reuse, process-wide.
 
-    An epoch frees and re-allocates tens of MB of float64 arrays.  glibc by
-    default maps arrays above a few MB afresh and returns the heap top to
-    the kernel once a few MB of it lie free, so each epoch re-faulted that
-    memory page by page: about a fifth of an epoch on a 2-core VM.  Arrays
-    below 32 MB now come from the heap, which keeps up to 256 MB free.  A
-    no-op where the C library has no mallopt.
+    An epoch frees and re-allocates tens of MB of float64 arrays, a serve
+    query a few MB.  glibc by default maps arrays above a few MB afresh and
+    returns the heap top to the kernel once a few MB of it lie free, so each
+    epoch (about a fifth of its time) and each query (about 4,300 faults)
+    re-faulted that memory page by page.  Arrays below 32 MB now come from
+    the heap, which keeps up to 256 MB free.  No-op without mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -342,7 +342,7 @@ def train(
     config.validate()
     hyper = hyper if hyper is not None else Hyper()
     hyper.validate()
-    _keep_freed_heap()
+    keep_freed_heap()
     data = prepare_training_data(graph, plan_med, plan_lab)
     med_in_loss, lab_in_loss = _objective_terms(config.task_mode, config.lam)
     if med_in_loss and data.class_weight is None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import medgcn
+import medgcn.cli
 import medgcn.data_io
 from medgcn.cli import main, parse_split_flag
 from medgcn.data_io import load_csv_bundle
@@ -152,6 +153,15 @@ class TestGraphCommands:
         assert main(["stats", "--graph", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: corrupt graph header")
+
+    def test_stats_on_a_non_utf8_bundle_exits_2(self, cohort_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("patients.csv", "encounters.csv", "lab_results.csv", "prescriptions.csv"):
+            (data / name).write_bytes((cohort_dir / name).read_bytes())
+        (data / "prescriptions.csv").write_bytes((cohort_dir / "prescriptions.csv").read_bytes() + b"E1,M\xff\n")
+        assert main(["stats", "--data", str(data)]) == 2
+        assert capsys.readouterr().err == "error: prescriptions.csv: not UTF-8 text (invalid start byte)\n"
 
     def test_stats_two_decimal_sparsity(self, cohort_dir, capsys):
         assert main(["stats", "--data", str(cohort_dir)]) == 0
@@ -394,6 +404,12 @@ class TestMalformedCheckpoint:
         code, err = self._recommend(cohort_dir, path, capsys)
         assert code == 4 and "8 bytes after its last weight" in err
 
+    def test_truncated_weight_exits_4(self, cohort_dir, checkpoint, tmp_path, capsys):
+        path = tmp_path / "short.ckpt"
+        path.write_bytes(checkpoint.read_bytes()[:-8])
+        code, err = self._recommend(cohort_dir, path, capsys)
+        assert code == 4 and err == "error: checkpoint truncated in weight head_lab/b\n"
+
     def test_unchanged_header_still_loads(self, cohort_dir, checkpoint, tmp_path, capsys):
         path = tmp_path / "same.ckpt"
         path.write_bytes(_rewrite_checkpoint_header(checkpoint.read_bytes(), lambda h: h))
@@ -537,6 +553,28 @@ class TestRecommendImpute:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("encounters.csv", b"encounter_id,patient_id\nX1,P\xff0\n", "encounters.csv: not UTF-8 text"),
+            ("lab_results.csv", b"encounter_id,lab_code,value\nX1,L1,0.5\nX1,L2," + b"9" * 200_000 + b"\n",
+             "lab_results.csv:3: field larger than field limit (131072)"),
+        ],
+    )
+    def test_unreadable_new_rows_exit_2(self, cohort_dir, checkpoint, tmp_path, capsys, name, text, message):
+        new_rows = tmp_path / "new"
+        new_rows.mkdir()
+        (new_rows / "encounters.csv").write_text("encounter_id,patient_id\nX1,P0\n")
+        (new_rows / name).write_bytes(text)
+        code = main(
+            [
+                "impute", "--checkpoint", str(checkpoint), "--data", str(cohort_dir),
+                "--encounter", "X1", "--inductive", "--new-rows", str(new_rows),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
     def test_new_row_reusing_a_bundle_id_cites_file_and_line(self, cohort_dir, checkpoint, tmp_path, capsys):
         new_rows = tmp_path / "new"
         new_rows.mkdir()
@@ -564,3 +602,17 @@ class TestRecommendImpute:
         assert text[0] == "encounter_id,med_code,probability,rank"
         assert len(text) == 9
         assert all(row.startswith("E3,") for row in text[1:])
+
+
+@pytest.mark.parametrize("command", ["recommend", "impute", "evaluate"])
+def test_every_command_keeps_freed_heap(cohort_dir, checkpoint, monkeypatch, capsys, tmp_path, command):
+    calls = []
+    monkeypatch.setattr(medgcn.cli, "keep_freed_heap", lambda: calls.append(command))
+    args = ["--checkpoint", str(checkpoint), "--data", str(cohort_dir)]
+    if command == "evaluate":
+        args += ["--split-seed", "2", "--report", str(tmp_path / "eval.json")]
+    else:
+        args += ["--encounter", "E3"]
+    assert main([command, *args]) == 0
+    capsys.readouterr()
+    assert calls == [command]

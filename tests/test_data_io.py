@@ -5,6 +5,8 @@ import csv
 import numpy as np
 import pytest
 
+import medgcn.data_io
+import medgcn.graph
 from medgcn.data_io import (
     denormalize_lab,
     export_predictions,
@@ -14,10 +16,11 @@ from medgcn.data_io import (
     write_ground_truth,
 )
 from medgcn.errors import IngestionError
-from medgcn.graph import NodeType, graph_stats
+from medgcn.graph import NodeType, build_graph, graph_stats, save_graph
 from medgcn.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import make_toy_graph
+from test_ingest_parity import _messy_bundle
 
 TOY_FILES = {
     "patients.csv": "patient_id\nP1\nP2\n",
@@ -124,6 +127,59 @@ class TestLoad:
         write_toy_bundle(tmp_path, {"patients.csv": "patient_id\nP1\nP2\nP1\n"})
         with pytest.raises(IngestionError, match="patients.csv:4"):
             load_csv_bundle(tmp_path)
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        write_toy_bundle(tmp_path)
+        (tmp_path / "prescriptions.csv").write_bytes(b"encounter_id,med_code\nE1,M1\nE2,M\xff2\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv_bundle(tmp_path)
+        assert str(err.value) == "prescriptions.csv: not UTF-8 text (invalid start byte)"
+
+    def test_oversized_field_cites_file_and_line(self, tmp_path):
+        bad = TOY_FILES["lab_results.csv"].replace("E3,L2,140.0", "E3,L2," + "1" * 200_000)
+        write_toy_bundle(tmp_path, {"lab_results.csv": bad})
+        with pytest.raises(IngestionError) as err:
+            load_csv_bundle(tmp_path)
+        assert str(err.value) == "lab_results.csv:6: field larger than field limit (131072)"
+
+
+def _as_tuples(records):
+    """The records as plain lists of tuples, so build_graph checks them from scratch."""
+    return [list(rows) for rows in (records.patients, records.encounters, records.lab_results, records.prescriptions)]
+
+
+def _graph_bytes(graph, path):
+    save_graph(graph, path)
+    return path.read_bytes()
+
+
+class TestOnePassGraph:
+    """load_csv_bundle assembles the graph from the ordinals its checks
+    computed; it must equal the generic builder's graph to the byte."""
+
+    def _assert_same_graph(self, directory, tmp_path):
+        generic = build_graph(*_as_tuples(read_bundle_records(directory)))
+        assert _graph_bytes(load_csv_bundle(directory), tmp_path / "one_pass.bin") == _graph_bytes(
+            generic, tmp_path / "generic.bin"
+        )
+
+    def test_messy_bundle(self, tmp_path):
+        self._assert_same_graph(_messy_bundle(tmp_path), tmp_path)
+
+    def test_default_cohort(self, tmp_path):
+        write_csv_bundle(generate_synthetic(SyntheticSpec()).graph, tmp_path / "cohort")
+        self._assert_same_graph(tmp_path / "cohort", tmp_path)
+
+    def test_each_edge_file_is_paired_once(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (medgcn.data_io, medgcn.graph):
+            def counting(*args, _original=module._pair_faults):
+                calls.append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, "_pair_faults", counting)
+        load_csv_bundle(write_toy_bundle(tmp_path))
+        assert len(calls) == 2
 
 
 class TestRoundTrip:

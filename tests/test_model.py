@@ -410,6 +410,15 @@ class TestCheckpoints:
         for a, b in zip(model.parameters(), loaded.parameters()):
             np.testing.assert_array_equal(a.values, b.values)
 
+    def test_loaded_weights_are_writeable_copies(self, toy_graph, tmp_path):
+        model = init_model(toy_graph, SMALL, seed=9)
+        path = tmp_path / "model.medgcn"
+        save_model(model, path)
+        for saved, loaded in zip(model.parameters(), load_model(path).parameters()):
+            values = loaded.values
+            assert values.flags.c_contiguous and values.flags.writeable and values.flags.owndata
+            assert values.dtype == np.float64 and values.tobytes() == saved.values.tobytes()
+
     def test_serialization_deterministic(self, toy_graph):
         model = init_model(toy_graph, SMALL, seed=9)
         assert model_to_bytes(model) == model_to_bytes(model)
