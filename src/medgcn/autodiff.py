@@ -85,18 +85,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    def __matmul__(self, other) -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other) -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other) -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        return mul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     """Wrap arrays/scalars as constant (no-grad) tensors; pass tensors through."""

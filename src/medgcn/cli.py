@@ -20,10 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from .data_io import (
+    BUNDLE_FILES,
     denormalize_lab,
     export_predictions,
     load_csv_bundle,
-    read_bundle_records,
     read_new_encounters,
     write_csv_bundle,
     write_ground_truth,
@@ -148,10 +148,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    records = read_bundle_records(args.data)
-    graph = records.graph()
+    graph = load_csv_bundle(args.data)
     save_graph(graph, args.out)
-    for name, count in records.row_counts().items():
+    # Blank lines are skipped and repeated rows rejected, so each file's row
+    # count is its node or edge count.
+    counts = (graph.n_patients, graph.n_encounters, np.count_nonzero(graph.m_el), np.count_nonzero(graph.a_em))
+    for name, count in zip(BUNDLE_FILES, counts):
         print(f"{name}: {count} rows")
     print(f"graph fingerprint {graph.fingerprint()}")
     print(f"wrote {args.out}")

@@ -11,16 +11,16 @@ with array operations (a dict lookup of a column for references, a
 first-index map or an (encounter, code) mask for repeats, float() and
 np.isfinite for values) and report the earliest offending file:line,
 naming the first check that line fails (a file that is not UTF-8 or
-not CSV, by name).  BundleRecords.graph assembles the graph from the
-ordinals and values the checks computed.  Rows for encounters that
-arrive after training (read_new_encounters) pass the same checks.
+not CSV, by name).  read_bundle_records returns the registry, ordinals
+and values the checks computed, and load_csv_bundle assembles the graph
+from them.  Rows for encounters that arrive after training
+(read_new_encounters) pass the same checks.
 All numeric output uses repr, which round-trips float64 exactly.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
 from pathlib import Path
@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import IngestionError, ShapeError
-from .graph import Columns, MedGraph, NodeRegistry, NodeType, _first, _first_repeat, _pair_faults, graph_from_edges
+from .graph import MedGraph, NodeRegistry, NodeType, _first, _first_repeat, _pair_faults, graph_from_edges
 from .graph import build_graph  # noqa: F401  (re-exported: perfbench/tracing.py binds data_io.build_graph)
 
 BUNDLE_FILES = {
@@ -46,24 +46,6 @@ GROUND_TRUTH_MEDS = "med_propensities.csv"
 # threshold (700 allocations), so a chunk's row lists are freed before a
 # collection can promote them to an older generation and rescan them.
 _CHUNK_ROWS = 256
-
-
-@dataclass
-class BundleRecords:
-    patients: list[str]
-    encounters: Columns  # (encounter_id, patient_id)
-    lab_results: Columns  # (encounter_id, lab_code, value)
-    prescriptions: Columns  # (encounter_id, med_code)
-    graph_args: tuple = field(repr=False, compare=False)
-
-    def graph(self) -> MedGraph:
-        """The graph of these records, from graph_args: the registry and
-        ordinals that read_bundle_records' checks computed."""
-        return graph_from_edges(*self.graph_args)
-
-    def row_counts(self) -> dict[str, int]:
-        rows = (self.patients, self.encounters, self.lab_results, self.prescriptions)
-        return {name: len(r) for name, r in zip(BUNDLE_FILES, rows)}
 
 
 def _read_rows(path: Path, expected_header: list[str]) -> tuple[list[int], list[list[str]]]:
@@ -125,10 +107,10 @@ def _parse_floats(values: list[str]) -> tuple[list[float], Optional[int]]:
 
 def _check_encounter_rows(
     linenos, columns, patients: Optional[NodeRegistry] = None, existing: Iterable[str] = ()
-) -> tuple[Columns, Optional[np.ndarray]]:
-    """encounters.csv rows in file order and, when a patient registry is
-    given, each row's patient ordinal.  Rejects encounter IDs repeated in
-    the file or already in existing and patients outside the registry."""
+) -> Optional[np.ndarray]:
+    """When a patient registry is given, each encounters.csv row's patient
+    ordinal.  Rejects encounter IDs repeated in the file or already in
+    existing and patients outside the registry."""
     eids, pids = columns
     existing = list(existing)
     repeat = _first_repeat([*existing, *eids])
@@ -138,14 +120,14 @@ def _check_encounter_rows(
         a_ep = patients.ordinals(NodeType.PATIENT, pids)
         faults.append((_first(a_ep < 0), lambda i: f"unknown patient_id {pids[i]!r}"))
     _raise_earliest("encounters.csv", linenos, faults)
-    return Columns(eids, pids), a_ep
+    return a_ep
 
 
-def _check_lab_rows(linenos, columns, known: NodeRegistry) -> tuple[Columns, np.ndarray, list[str], np.ndarray]:
-    """lab_results.csv rows in file order with parsed values, then their
-    (encounter, lab) ordinal pairs, the lab codes in first-appearance order
-    and the values as float64.  Rejects encounters the registry lacks, a
-    repeated (encounter, lab) pair, and values that are not finite numbers."""
+def _check_lab_rows(linenos, columns, known: NodeRegistry) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """The (encounter, lab) ordinal pairs of lab_results.csv rows in file
+    order, the lab codes in first-appearance order and the values as
+    float64.  Rejects encounters the registry lacks, a repeated (encounter,
+    lab) pair, and values that are not finite numbers."""
     eids, codes, values = columns
     unknown, repeat, distinct, pairs = _pair_faults(known, eids, codes)
     parsed, non_numeric = _parse_floats(values)
@@ -156,12 +138,14 @@ def _check_lab_rows(linenos, columns, known: NodeRegistry) -> tuple[Columns, np.
         (non_numeric, lambda i: f"non-numeric value {values[i]!r}"),
         (_first(~np.isfinite(floats)), lambda i: f"non-finite value {values[i]!r}"),
     ])
-    return Columns(eids, codes, parsed), pairs, distinct, floats
+    return pairs, distinct, floats
 
 
-def read_bundle_records(directory) -> BundleRecords:
-    """Parse and cross-validate the four bundle CSVs.  The records keep the
-    ordinals the checks computed, for BundleRecords.graph."""
+def read_bundle_records(directory) -> tuple[NodeRegistry, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parse and cross-validate the four bundle CSVs.  Returns what the
+    checks computed, as graph_from_edges takes it: the registry, each
+    encounter's patient ordinal, the (encounter, lab) pairs, their values
+    and the (encounter, medication) pairs."""
     directory = Path(directory)
     raw = {name: _read_rows(directory / name, header) for name, header in BUNDLE_FILES.items()}
 
@@ -169,9 +153,9 @@ def read_bundle_records(directory) -> BundleRecords:
     repeat = _first_repeat(patients)
     _raise_earliest("patients.csv", linenos, [(repeat, lambda i: f"duplicate patient_id {patients[i]!r}")])
     known = NodeRegistry({NodeType.PATIENT: patients})
-    encounters, a_ep = _check_encounter_rows(*raw["encounters.csv"], known)
-    known.extend(NodeType.ENCOUNTER, encounters.fields[0])
-    lab_results, labs, lab_codes, values = _check_lab_rows(*raw["lab_results.csv"], known)
+    a_ep = _check_encounter_rows(*raw["encounters.csv"], known)
+    known.extend(NodeType.ENCOUNTER, raw["encounters.csv"][1][0])
+    labs, lab_codes, values = _check_lab_rows(*raw["lab_results.csv"], known)
 
     linenos, (eids, codes) = raw["prescriptions.csv"]
     unknown, repeat, med_codes, meds = _pair_faults(known, eids, codes)
@@ -181,7 +165,7 @@ def read_bundle_records(directory) -> BundleRecords:
     ])
     known.extend(NodeType.LAB, lab_codes)
     known.extend(NodeType.MEDICATION, med_codes)
-    return BundleRecords(patients, encounters, lab_results, Columns(eids, codes), (known, a_ep, labs, values, meds))
+    return known, a_ep, labs, values, meds
 
 
 def read_new_encounters(
@@ -198,20 +182,20 @@ def read_new_encounters(
     are appended to.
     """
     directory = Path(directory)
-    encounters, _ = _check_encounter_rows(
-        *_read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"]), existing=existing_ids
-    )
-    labs: dict[str, list[tuple[str, float]]] = {eid: [] for eid, _ in encounters}
+    linenos, (eids, pids) = _read_rows(directory / "encounters.csv", BUNDLE_FILES["encounters.csv"])
+    _check_encounter_rows(linenos, (eids, pids), existing=existing_ids)
+    labs: dict[str, list[tuple[str, float]]] = {eid: [] for eid in eids}
     lab_path = directory / "lab_results.csv"
     if lab_path.is_file():
-        rows = _read_rows(lab_path, BUNDLE_FILES["lab_results.csv"])
-        for eid, code, value in _check_lab_rows(*rows, NodeRegistry({NodeType.ENCOUNTER: encounters.fields[0]}))[0]:
+        linenos, columns = _read_rows(lab_path, BUNDLE_FILES["lab_results.csv"])
+        values = _check_lab_rows(linenos, columns, NodeRegistry({NodeType.ENCOUNTER: eids}))[2]
+        for eid, code, value in zip(columns[0], columns[1], values.tolist()):
             labs[eid].append((code, value))
-    return [(eid, pid, labs[eid]) for eid, pid in encounters]
+    return [(eid, pid, labs[eid]) for eid, pid in zip(eids, pids)]
 
 
 def load_csv_bundle(directory) -> MedGraph:
-    return read_bundle_records(directory).graph()
+    return graph_from_edges(*read_bundle_records(directory))
 
 
 def write_csv_bundle(graph: MedGraph, directory) -> None:

@@ -38,7 +38,6 @@ import hashlib
 import itertools
 import json
 import math
-from collections import abc
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
@@ -228,6 +227,8 @@ class MedGraph:
                 raise IntegrityError(f"{name} shape {mat.shape} != registry counts {want}")
         if self.lab_norm.shape != (n_l, 2):
             raise IntegrityError(f"lab_norm shape {self.lab_norm.shape} != ({n_l}, 2)")
+        if not (np.isfinite(self.lab_norm).all() and (self.lab_norm[:, 0] <= self.lab_norm[:, 1]).all()):
+            raise IntegrityError("lab_norm must hold a finite (min, max) pair with min <= max per lab")
         if self.a_ep.dtype != np.int64:
             raise IntegrityError(f"a_ep must hold int64 patient ordinals, got dtype {self.a_ep.dtype}")
         if n_e and (self.a_ep.min() < 0 or self.a_ep.max() >= n_p):
@@ -314,25 +315,6 @@ def _edge_ordinals(
         raise IntegrityError(f"{what} references unknown encounter {eids[unknown]!r}")
     registry.extend(target, distinct)
     return edges
-
-
-class Columns(abc.Sequence):
-    """Records held as one list per field.  Reads as the sequence of tuples
-    it stands for."""
-
-    def __init__(self, *fields: list):
-        self.fields = fields
-
-    def __len__(self) -> int:
-        return len(self.fields[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Columns(*(field[i] for field in self.fields))
-        return tuple(field[i] for field in self.fields)
-
-    def __iter__(self):
-        return zip(*self.fields)
 
 
 def _columns(records: Sequence[Sequence], width: int) -> list[list]:
@@ -522,7 +504,6 @@ class MatrixStats:
     cols: int
     edges: int
     sparsity: float
-    kind: str
 
 
 @dataclass
@@ -553,12 +534,12 @@ def graph_stats(graph: MedGraph) -> GraphStats:
     stats = GraphStats(
         counts={t.value: graph.registry.count(t) for t in NODE_TYPES},
     )
-    for name, cols, edges, kind in (
-        ("a_ep", graph.n_patients, n_e, "binary"),
-        ("a_el", graph.n_labs, int(np.count_nonzero(graph.m_el)), "real"),
-        ("a_em", graph.n_medications, int(np.count_nonzero(graph.a_em)), "binary"),
+    for name, cols, edges in (
+        ("a_ep", graph.n_patients, n_e),
+        ("a_el", graph.n_labs, int(np.count_nonzero(graph.m_el))),
+        ("a_em", graph.n_medications, int(np.count_nonzero(graph.a_em))),
     ):
-        stats.matrices.append(MatrixStats(name, n_e, cols, edges, sparsity(n_e, cols, edges), kind))
+        stats.matrices.append(MatrixStats(name, n_e, cols, edges, sparsity(n_e, cols, edges)))
     return stats
 
 
@@ -704,6 +685,8 @@ def load_graph(path) -> MedGraph:
             if len(raw) != n_bytes:
                 raise IntegrityError(f"graph file truncated in array {name}")
             mats[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type)
+        if f.read(1):
+            raise IntegrityError("graph file goes on after its last array")
     if np.any(mats["m_el"] > 1):
         raise IntegrityError("graph file array m_el holds a byte other than 0 or 1")
     graph = MedGraph(registry, mats["a_ep"], mats["m_el"].astype(bool), mats["a_em"], mats["raw_el"], lab_norm)

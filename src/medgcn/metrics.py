@@ -104,12 +104,12 @@ class RankingResult:
     n_rows_skipped: int
 
 
-def rank_metrics(scores, relevance, k: int = 2, normalizer: str = "min") -> RankingResult:
+def rank_metrics(scores, relevance, k: int = 2) -> RankingResult:
     scores, relevance = _check_pair(scores, relevance)
     scored = count_scorable_rows(relevance)
     return RankingResult(
         lrap=lrap(scores, relevance),
-        map_at_k=map_at_k(scores, relevance, k, normalizer),
+        map_at_k=map_at_k(scores, relevance, k),
         k=k,
         n_rows_scored=scored,
         n_rows_skipped=relevance.shape[0] - scored,

@@ -433,7 +433,6 @@ def evaluate_split(
     plan_med: SplitPlan,
     plan_lab: SplitPlan,
     k: int = 2,
-    normalizer: str = "min",
 ) -> list[MetricEntry]:
     """Held-out metrics plus reference baselines on the same test targets.
 
@@ -446,9 +445,9 @@ def evaluate_split(
 
     test_rows = plan_med.test
     truth = data.full.a_em[test_rows]
-    ranking = rank_metrics(p.values[test_rows], truth, k=k, normalizer=normalizer)
+    ranking = rank_metrics(p.values[test_rows], truth, k=k)
     pop = baseline_popularity(data.view.a_em, eval_rows=test_rows)
-    pop_ranking = rank_metrics(pop, truth, k=k, normalizer=normalizer)
+    pop_ranking = rank_metrics(pop, truth, k=k)
 
     edge_mask = _edge_mask(graph, plan_lab.test)
     n_edges = int(edge_mask.sum())

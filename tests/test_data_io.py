@@ -7,11 +7,11 @@ import pytest
 
 import medgcn.data_io
 import medgcn.graph
+from medgcn.cli import main
 from medgcn.data_io import (
     denormalize_lab,
     export_predictions,
     load_csv_bundle,
-    read_bundle_records,
     write_csv_bundle,
     write_ground_truth,
 )
@@ -20,6 +20,7 @@ from medgcn.graph import NodeType, build_graph, graph_stats, save_graph
 from medgcn.synthetic import SyntheticSpec, generate_synthetic
 
 from conftest import make_toy_graph
+from oracles import BUNDLE_HEADERS, _oracle_rows
 from test_ingest_parity import _messy_bundle
 
 TOY_FILES = {
@@ -67,14 +68,23 @@ class TestLoad:
         in_memory = make_toy_graph()
         assert from_csv.fingerprint() == in_memory.fingerprint()
 
-    def test_row_counts_reported(self, tmp_path):
-        records = read_bundle_records(write_toy_bundle(tmp_path))
-        assert records.row_counts() == {
-            "patients.csv": 2,
-            "encounters.csv": 4,
-            "lab_results.csv": 7,
-            "prescriptions.csv": 6,
-        }
+    def _build_graph_counts(self, directory, capsys):
+        assert main(["build-graph", "--data", str(directory), "--out", str(directory / "g.bin")]) == 0
+        return capsys.readouterr().out.splitlines()[:4]
+
+    def test_build_graph_prints_row_counts(self, tmp_path, capsys):
+        assert self._build_graph_counts(write_toy_bundle(tmp_path), capsys) == [
+            "patients.csv: 2 rows",
+            "encounters.csv: 4 rows",
+            "lab_results.csv: 7 rows",
+            "prescriptions.csv: 6 rows",
+        ]
+
+    def test_build_graph_row_counts_skip_blank_lines(self, tmp_path, capsys):
+        directory = _messy_bundle(tmp_path)
+        assert all(b"\r\n\n" in (directory / name).read_bytes() for name in BUNDLE_HEADERS)
+        want = [f"{name}: {len(_oracle_rows(directory, name))} rows" for name in BUNDLE_HEADERS]
+        assert self._build_graph_counts(directory, capsys) == want
 
     def test_missing_file(self, tmp_path):
         write_toy_bundle(tmp_path)
@@ -143,9 +153,13 @@ class TestLoad:
         assert str(err.value) == "lab_results.csv:6: field larger than field limit (131072)"
 
 
-def _as_tuples(records):
-    """The records as plain lists of tuples, so build_graph checks them from scratch."""
-    return [list(rows) for rows in (records.patients, records.encounters, records.lab_results, records.prescriptions)]
+def _as_tuples(directory):
+    """The bundle's rows as the per-line oracle reads them, as plain lists of
+    tuples, so build_graph checks them from scratch."""
+    patients, encounters, labs, prescriptions = (
+        [tuple(fields) for _, fields in _oracle_rows(directory, name)] for name in BUNDLE_HEADERS
+    )
+    return [pid for (pid,) in patients], encounters, [(e, c, float(v)) for e, c, v in labs], prescriptions
 
 
 def _graph_bytes(graph, path):
@@ -158,7 +172,7 @@ class TestOnePassGraph:
     computed; it must equal the generic builder's graph to the byte."""
 
     def _assert_same_graph(self, directory, tmp_path):
-        generic = build_graph(*_as_tuples(read_bundle_records(directory)))
+        generic = build_graph(*_as_tuples(directory))
         assert _graph_bytes(load_csv_bundle(directory), tmp_path / "one_pass.bin") == _graph_bytes(
             generic, tmp_path / "generic.bin"
         )

@@ -682,6 +682,8 @@ MALFORMED_HEADERS = {
     "lab_norm_a_string": lambda h: {**h, "lab_norm": "0,1"},
     "lab_norm_ragged": lambda h: {**h, "lab_norm": [[0.0, 1.0], [2.0]]},
     "lab_norm_wrong_count": lambda h: {**h, "lab_norm": h["lab_norm"][:-1]},
+    "lab_norm_nan": lambda h: {**h, "lab_norm": [[float("nan"), 1.0], *h["lab_norm"][1:]]},
+    "lab_norm_swapped": lambda h: {**h, "lab_norm": [[1.0, 0.0], *h["lab_norm"][1:]]},
     "arrays_missing": lambda h: _drop(h, "arrays"),
     "arrays_an_object": lambda h: {**h, "arrays": {"a_ep": h["arrays"][0]}},
     "entry_without_name": lambda h: {**h, "arrays": [_drop(h["arrays"][0], "name"), *h["arrays"][1:]]},
@@ -699,7 +701,7 @@ class TestMalformedGraphFile:
         save_graph(toy_graph, path)
         magic, header, payload = _split_graph_file(path)
         _write_graph_file(path, magic, MALFORMED_HEADERS[case](header), payload)
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="lab_norm" if case.startswith("lab_norm") else None):
             load_graph(path)
 
     def test_mask_byte_other_than_0_or_1(self, toy_graph, tmp_path):
@@ -722,6 +724,13 @@ class TestMalformedGraphFile:
         poisoned = payload[:raw_start] + np.float64(np.nan).tobytes() + payload[raw_start + 8 :]
         _write_graph_file(path, magic, header, poisoned)
         with pytest.raises(IntegrityError, match="finite"):
+            load_graph(path)
+
+    def test_bytes_after_the_last_array_rejected(self, toy_graph, tmp_path):
+        path = tmp_path / "g.medgraph"
+        save_graph(toy_graph, path)
+        path.write_bytes(path.read_bytes() + b"GARBAGE")
+        with pytest.raises(IntegrityError, match="after its last array"):
             load_graph(path)
 
     def test_graph_file_stores_the_mask_as_bytes(self, toy_graph, tmp_path):
