@@ -1,4 +1,10 @@
-"""Reverse-mode autodiff over dense 2-D float64 matrices.
+"""Reverse-mode autodiff over dense 2-D float32 or float64 matrices.
+
+A float32 array stays float32 and everything else becomes float64; each
+op computes in its inputs' dtype, and the constants it makes (the backward
+seed, sums' gradient fills, dropout factors) take that dtype too.  So
+float32 inputs train in float32 end to end, while float64 inputs run the
+same float64 arithmetic as an engine that knew no other dtype.
 
 Every operation computes its result eagerly with numpy and, when a Tape is
 active and the result needs gradients, records a backward closure on the
@@ -34,13 +40,19 @@ def _check_finite(values: np.ndarray) -> None:
         raise NumericGuardError("operation produced NaN or infinity from finite inputs")
 
 
+def float_array(values) -> np.ndarray:
+    """values as an array: a float32 array as it is, anything else as float64."""
+    arr = np.asarray(values)
+    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
+
+
 class Tensor:
-    """A rows x cols float64 matrix, optionally carrying a gradient."""
+    """A rows x cols float32 or float64 matrix, optionally carrying a gradient."""
 
     __slots__ = ("values", "requires_grad", "grad", "is_leaf")
 
     def __init__(self, values, requires_grad: bool = False):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = float_array(values)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
@@ -134,7 +146,7 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         if loss.values.shape != (1, 1):
             raise ShapeError(f"backward needs a scalar (1x1) loss, got {loss.values.shape}")
-        scratch: dict[int, np.ndarray] = {id(loss): np.ones((1, 1))}
+        scratch: dict[int, np.ndarray] = {id(loss): np.ones((1, 1), loss.values.dtype)}
         if loss.is_leaf and loss.requires_grad:
             loss.accumulate_grad(scratch[id(loss)])
         for out, backward_fn in reversed(self._nodes):
@@ -348,11 +360,18 @@ def sigmoid(a) -> Tensor:
 
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """out[k] = sum of values[i] over i with index[i] == k, for k < n: one
-    bincount over the flat cell index, adding in order of i as np.add.at does."""
-    h = values.shape[1]
-    flat = (index[:, None] * h + np.arange(h)).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=n * h).reshape(n, h)
+    """out[k] = sum of values[i] over i with index[i] == k, for k < n, in
+    values' dtype.  Pass r adds the r-th row of every group at once, so each
+    group sums its rows from zero in order of i, as np.add.at does."""
+    out = np.zeros((n, values.shape[1]), values.dtype)
+    order = np.argsort(index, kind="stable")
+    counts = np.bincount(index, minlength=n)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(index.size) - (np.cumsum(counts) - counts)[index[order]]
+    by_rank = np.argsort(rank, kind="stable")
+    for rows in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
+        out[index[rows]] += values[rows]
+    return out
 
 
 def take_rows(b, index: np.ndarray) -> Tensor:
@@ -417,7 +436,7 @@ def tensor_sum(a) -> Tensor:
     _check_finite(out.values)
 
     def backward_fn(g, scratch):
-        _push(a, np.full(a.values.shape, g[0, 0]), scratch)
+        _push(a, np.full(a.values.shape, g[0, 0], a.values.dtype), scratch)
 
     _maybe_record(out, backward_fn)
     return out
@@ -425,7 +444,7 @@ def tensor_sum(a) -> Tensor:
 
 def masked_square_error(a, targets: np.ndarray, mask: np.ndarray, c: float) -> Tensor:
     """c * sum(mask * (a - targets)^2) as one 1x1 node; targets and mask are
-    float64 constants of a's shape.  Value and gradient are those of the
+    constants of a's shape and dtype.  Value and gradient are those of the
     chain sub, mul, mul by mask, tensor_sum, scale it stands for."""
     a = as_tensor(a)
     c = float(c)
@@ -437,7 +456,7 @@ def masked_square_error(a, targets: np.ndarray, mask: np.ndarray, c: float) -> T
 
     def backward_fn(g, scratch):
         # The chain's (full(g * c) * mask) * d, once per operand of d * d.
-        t = mask * (g[0, 0] * c)
+        t = mask * (float(g[0, 0]) * c)
         t *= d
         _push(a, np.add(t, t, out=t), scratch, fresh=True)
 
@@ -463,8 +482,8 @@ def logistic_loss(z, rows: np.ndarray, neg_coef: np.ndarray, pos_coef: np.ndarra
         sig_neg = np.where(x >= 0.0, e, 1.0)
         sig_neg /= 1.0 + e
         local = neg_coef - pos_coef * sig_neg
-        local *= g[0, 0] * c
-        grad = np.zeros(z.values.shape)
+        local *= float(g[0, 0]) * c
+        grad = np.zeros(z.values.shape, z.values.dtype)
         grad[rows] = local
         _push(z, grad, scratch, fresh=True)
 
@@ -483,7 +502,7 @@ def dropout(a, rate: float, training: bool, rng: Optional[np.random.Generator] =
     if rng is None:
         raise StateError("training-mode dropout needs a seeded generator")
     keep = rng.random(a.values.shape) >= rate
-    factor = keep / (1.0 - rate)
+    factor = np.divide(keep, 1.0 - rate, dtype=a.values.dtype)
     out = Tensor(a.values * factor, requires_grad=a.requires_grad)
 
     def backward_fn(g, scratch):
@@ -507,7 +526,7 @@ def dropout_rows(a, rate: float, training: bool, rng: Optional[np.random.Generat
         return a
     if rng is None:
         raise StateError("training-mode dropout needs a seeded generator")
-    factor = (rng.random((a.rows, 1)) >= rate) / (1.0 - rate)
+    factor = np.divide(rng.random((a.rows, 1)) >= rate, 1.0 - rate, dtype=a.values.dtype)
     out = Tensor(a.values * factor, requires_grad=a.requires_grad)
 
     def backward_fn(g, scratch):

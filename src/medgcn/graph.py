@@ -237,7 +237,7 @@ class MedGraph:
             raise IntegrityError(f"m_el must be a bool mask, got dtype {self.m_el.dtype}")
         if not np.isin(self.a_em, (0.0, 1.0)).all():
             raise IntegrityError("a_em must be binary")
-        if np.any(self.raw_el[~self.m_el] != 0.0):
+        if np.any((self.raw_el != 0.0) > self.m_el):
             raise IntegrityError("raw_el must be zero wherever m_el is False")
         if not np.isfinite(self.raw_el).all():
             raise IntegrityError("raw_el must hold finite lab values")
@@ -679,16 +679,18 @@ def load_graph(path) -> MedGraph:
         registry, lab_norm, entries = _read_header(header)
         mats: dict[str, np.ndarray] = {}
         for entry in entries:
-            name, shape, dtype = entry["name"], tuple(entry["shape"]), np.dtype(entry["dtype"])
-            n_bytes = int(np.prod(shape)) * dtype.itemsize
-            raw = f.read(n_bytes)
-            if len(raw) != n_bytes:
+            name, shape = entry["name"], tuple(entry["shape"])
+            # Read straight into the array the graph keeps; the 0/1 mask
+            # bytes land in a bool array, checked below through a byte view.
+            dtype = np.dtype(bool if name == "m_el" else entry["dtype"])
+            arr = np.empty(shape, dtype)
+            if f.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
                 raise IntegrityError(f"graph file truncated in array {name}")
-            mats[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.type)
+            mats[name] = arr if dtype.isnative else arr.astype(dtype.newbyteorder("="))
         if f.read(1):
             raise IntegrityError("graph file goes on after its last array")
-    if np.any(mats["m_el"] > 1):
+    if np.any(mats["m_el"].view(np.uint8) > 1):
         raise IntegrityError("graph file array m_el holds a byte other than 0 or 1")
-    graph = MedGraph(registry, mats["a_ep"], mats["m_el"].astype(bool), mats["a_em"], mats["raw_el"], lab_norm)
+    graph = MedGraph(registry, mats["a_ep"], mats["m_el"], mats["a_em"], mats["raw_el"], lab_norm)
     graph.validate()
     return graph

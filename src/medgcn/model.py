@@ -420,7 +420,7 @@ def _project_rows(weight: Tensor, feature, n_nodes: int, rows: np.ndarray) -> Te
         return ad.take_rows(_project_type(ENCOUNTER, weight, feature, n_nodes, False, 0.0, None), rows)
     if weight.rows > n_nodes:
         raise ShapeError(f"{ENCOUNTER} one-hot features need a {n_nodes}-row weight, got {weight.rows}")
-    out = np.zeros((rows.size, weight.cols))
+    out = np.zeros((rows.size, weight.cols), weight.values.dtype)
     known = rows < weight.rows
     out[known] = weight.values[rows[known]]
     return Tensor(out)
@@ -453,7 +453,8 @@ def _weight_entries(model: MedGcnModel) -> list[tuple[str, Tensor]]:
 
 def model_to_bytes(model: MedGcnModel) -> bytes:
     """Checkpoint image: magic line, one-line JSON header, then weight
-    matrices as row-major little-endian float64 in header order."""
+    matrices as row-major little-endian float64 in header order; the
+    header's "dtype" is "<f8", the only one loading accepts."""
     entries = _weight_entries(model)
     header = {
         "hyper": model.hyper.to_dict(),
@@ -506,6 +507,8 @@ def _model_from_header(header: dict, blob: memoryview, offset: int) -> MedGcnMod
         raise CheckpointError(
             f"checkpoint weights do not follow from its header: weight {k} is {show(listed)}, expected {show(expected)}"
         )
+    if header["dtype"] != "<f8":
+        raise CheckpointError(f"corrupt checkpoint header: 'dtype' must be '<f8', got {header['dtype']!r}")
     weights: dict[str, Tensor] = {}
     for name, (rows, cols) in expected:
         n = rows * cols * 8

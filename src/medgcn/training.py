@@ -19,12 +19,18 @@ Training is full batch: one forward over the whole training-view graph
 per epoch, validation on the validation rows after every step, the best
 epoch's weights kept by copy, early stop after `patience` epochs without
 strict improvement.
+
+The epochs compute in float32 (TRAIN_DTYPE), which takes about 0.6x the
+float64 time: train casts the initialized weights, the training view and
+the loss constants once per run, and the autodiff follows their dtype.
+The model train returns has float64 weights holding those float32 values,
+so checkpoints, evaluation and inference stay float64.
 """
 
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +59,17 @@ from .metrics import (
     masked_mse,
     rank_metrics,
 )
-from .model import Hyper, MedGcnModel, forward, init_model, make_view, model_from_bytes, model_to_bytes
+from .model import (
+    Hyper,
+    MedGcnModel,
+    Membership,
+    TypedGraphView,
+    forward,
+    init_model,
+    make_view,
+    model_from_bytes,
+    model_to_bytes,
+)
 from .optim import Adam
 
 TASK_BOTH = "both"
@@ -69,6 +85,9 @@ METRIC_MSE = "mse"
 # run off, so a non-finite loss alone no longer catches a runaway step size.
 DIVERGENCE_FACTOR = 1e6
 
+# The dtype the training epochs compute in.
+TRAIN_DTYPE = np.float32
+
 
 # mallopt parameters of glibc's <malloc.h>.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
@@ -77,7 +96,7 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 def keep_freed_heap() -> None:
     """Ask the C library's malloc to keep freed memory for reuse, process-wide.
 
-    An epoch frees and re-allocates tens of MB of float64 arrays, a serve
+    An epoch frees and re-allocates tens of MB of arrays, a serve
     query a few MB.  glibc by default maps arrays above a few MB afresh and
     returns the heap top to the kernel once a few MB of it lie free, so each
     epoch (about a fifth of its time) and each query (about 4,300 faults)
@@ -213,13 +232,14 @@ def medication_logit_loss(
     """loss_medication over the distinct rows in rows as a function of the
     logits Z, not of P = sigmoid(Z), so it stays finite where P would round
     to 0 or 1.  The constants are built here once; each call of the returned
-    function adds one tape node."""
-    targets = np.asarray(targets, dtype=np.float64)
+    function adds one tape node.  The constants keep the dtype of targets
+    (float32, or float64 for any other)."""
+    targets = ad.float_array(targets)
     rows = np.asarray(rows, dtype=np.int64)
     if rows.size == 0:
         raise ParameterError("medication loss needs at least one included row")
     y = targets[rows]
-    neg_coef, pos_coef = 1.0 - y, 1.0 + (weight - 1.0) * y
+    neg_coef, pos_coef = 1.0 - y, 1.0 + (float(weight) - 1.0) * y
 
     def loss(z: Tensor) -> Tensor:
         if z.shape != targets.shape:
@@ -231,9 +251,10 @@ def medication_logit_loss(
 
 def loss_lab(v: Tensor, targets: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mask-screened squared error divided by v's encounter rows, as one tape
-    node."""
-    targets = np.asarray(targets, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
+    node; the mask takes the dtype of targets (float32, or float64 for any
+    other)."""
+    targets = ad.float_array(targets)
+    mask = np.asarray(mask, dtype=targets.dtype)
     if not v.shape == targets.shape == mask.shape:
         raise ShapeError(f"values {v.shape}, targets {targets.shape}, mask {mask.shape} must match")
     return ad.masked_square_error(v, targets, mask, 1.0 / v.rows)
@@ -307,6 +328,27 @@ def prepare_training_data(
     )
 
 
+def to_train_dtype(model: MedGcnModel) -> MedGcnModel:
+    """Cast every weight of model to TRAIN_DTYPE in place; returns model."""
+    for t in model.parameters():
+        t.values = t.values.astype(TRAIN_DTYPE)
+    return model
+
+
+def training_view(view: TypedGraphView) -> TypedGraphView:
+    """view with its dense adjacencies and membership row scales in
+    TRAIN_DTYPE; the epochs' products then run in that dtype."""
+
+    def cast(adj):
+        if not isinstance(adj, Membership):
+            return adj.astype(TRAIN_DTYPE)
+        if adj.row_scale is None:
+            return adj
+        return replace(adj, row_scale=adj.row_scale.astype(TRAIN_DTYPE))
+
+    return TypedGraphView(view.types, view.counts, {pair: cast(adj) for pair, adj in view.adjacency.items()})
+
+
 def _validation(
     config: TrainConfig, data: TrainingData
 ) -> tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], float]]:
@@ -350,25 +392,29 @@ def train(
     val_rows, validate = _validation(config, data)
 
     model = init_model(graph, hyper, config.seed)
-    params = active_parameters(model, config.task_mode, config.lam)
-    opt = Adam(params, lr=config.lr)
-    drop_rng = np.random.default_rng(config.seed)
-
     maximize = config.resolved_metric() == METRIC_LRAP
     report = TrainReport(val_metric_name=config.resolved_metric(), maximize=maximize)
 
-    # The epochs reuse one view, so the lab matrix is normalized once per
-    # run.  The untrained forward still takes the MedGraph: the benchmark
-    # tracer (perfbench/tracing.py) keys products by the last MedGraph
-    # that forward saw.
+    # The untrained forward runs on the float64 initialization and takes
+    # the MedGraph: the benchmark tracer (perfbench/tracing.py) keys
+    # products by the last MedGraph that forward saw.
     p0, v0, _ = forward(model, data.view)
-    view = make_view(data.view, hyper.normalize_adjacency)
     report.untrained_val = validate(p0.values[val_rows], v0.values[val_rows])
 
+    # Cast once, before Adam's moments and the best-epoch copies are made
+    # from the weights.  The epochs reuse one view, so the lab matrix is
+    # normalized once per run.
+    to_train_dtype(model)
+    params = active_parameters(model, config.task_mode, config.lam)
+    opt = Adam(params, lr=config.lr)
+    drop_rng = np.random.default_rng(config.seed)
+    view = training_view(make_view(data.view, hyper.normalize_adjacency))
     med_loss = None
     if data.class_weight is not None:
-        med_loss = medication_logit_loss(data.view.a_em, data.class_weight.weight, data.train_rows)
-    lab_mask = data.view.m_el.astype(np.float64)
+        med_loss = medication_logit_loss(
+            data.view.a_em.astype(TRAIN_DTYPE), data.class_weight.weight, data.train_rows)
+    lab_targets = data.lab_targets.astype(TRAIN_DTYPE)
+    lab_mask = data.view.m_el.astype(TRAIN_DTYPE)
     # The best epoch's weights are copied into arrays allocated once; the
     # checkpoint image is written once, after the loop.
     best_values = [t.values.copy() for t in model.parameters()]
@@ -380,7 +426,7 @@ def train(
             # In training mode forward's first output is the medication logits.
             z_med, v, _ = forward(model, view, training=True, rng=drop_rng)
             l_med = med_loss(z_med) if med_in_loss else None
-            l_lab = loss_lab(v, data.lab_targets, lab_mask) if lab_in_loss else None
+            l_lab = loss_lab(v, lab_targets, lab_mask) if lab_in_loss else None
             if l_med is None or l_lab is None:
                 loss = l_lab if l_med is None else l_med
             else:
@@ -389,7 +435,7 @@ def train(
         if l_med is None and med_loss is not None:
             l_med = med_loss(z_med)
         if l_lab is None:
-            l_lab = loss_lab(v, data.lab_targets, lab_mask)
+            l_lab = loss_lab(v, lab_targets, lab_mask)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise TrainingError(f"training diverged: non-finite loss at epoch {epoch}")

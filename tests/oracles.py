@@ -32,8 +32,9 @@ def layer_oracle(a_ep, a_el, a_em, w_e, w_p, w_l, w_m, relu=True):
 
 
 def scatter_add_oracle(index, values, n):
-    """out[k] = sum of values[i] over i with index[i] == k, by np.add.at."""
-    out = np.zeros((n, values.shape[1]))
+    """out[k] = sum of values[i] over i with index[i] == k, by np.add.at in
+    values' dtype."""
+    out = np.zeros((n, values.shape[1]), values.dtype)
     np.add.at(out, index, values)
     return out
 

@@ -182,7 +182,8 @@ class TestOpGradients:
 
 class TestScatterAdd:
     """take_rows backward and scatter_rows forward sum rows per group; the
-    sums must equal np.add.at's bit for bit, whose adding order is fixed."""
+    sums must equal np.add.at's bit for bit, whose adding order is fixed, in
+    float64 and in float32."""
 
     CASES = [
         (np.array([1, 0, 1, 3, 1, 1, 0]), 5),  # repeated groups; groups 2 and 4 have no member
@@ -191,25 +192,30 @@ class TestScatterAdd:
     ]
 
     @staticmethod
-    def spread(rng, shape):
-        return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    def spread(rng, shape, dtype):
+        values = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)).astype(dtype)
+        values[::3, ::2] = -0.0  # np.add.at sums from +0.0, so a lone -0.0 comes out +0.0
+        return values
 
     @pytest.mark.parametrize("index, n", CASES)
     def test_scatter_rows_forward(self, index, n):
-        values = self.spread(np.random.default_rng(1), (index.size, 6))
-        out = scatter_rows(values, index, n).values
-        assert out.shape == (n, 6)
-        assert out.tobytes() == scatter_add_oracle(index, values, n).tobytes()
+        for dtype in (np.float64, np.float32):
+            values = self.spread(np.random.default_rng(1), (index.size, 6), dtype)
+            out = scatter_rows(values, index, n).values
+            assert out.shape == (n, 6) and out.dtype == dtype
+            assert out.tobytes() == scatter_add_oracle(index, values, n).tobytes()
 
     @pytest.mark.parametrize("index, n", CASES)
     def test_take_rows_backward(self, index, n):
-        rng = np.random.default_rng(2)
-        b = Tensor(rng.standard_normal((n, 6)), requires_grad=True)
-        upstream = self.spread(rng, (index.size, 6))
-        with Tape() as tape:
-            loss = tensor_sum(mul(take_rows(b, index), Tensor(upstream)))
-        tape.backward(loss)
-        assert b.grad.tobytes() == scatter_add_oracle(index, upstream, n).tobytes()
+        for dtype in (np.float64, np.float32):
+            rng = np.random.default_rng(2)
+            b = Tensor(rng.standard_normal((n, 6)).astype(dtype), requires_grad=True)
+            upstream = self.spread(rng, (index.size, 6), dtype)
+            with Tape() as tape:
+                loss = tensor_sum(mul(take_rows(b, index), Tensor(upstream)))
+            tape.backward(loss)
+            assert b.grad.dtype == dtype
+            assert b.grad.tobytes() == scatter_add_oracle(index, upstream, n).tobytes()
 
 
 class TestTapeSemantics:
@@ -537,3 +543,158 @@ class TestFreshGradients:
         tape.backward(loss)
         np.testing.assert_array_equal(w.grad, 2.0 * first_w)
         np.testing.assert_array_equal(b.grad, 2.0 * first_b)
+
+
+def _representable(rng, shape, low=None):
+    """float64 values that float32 holds exactly, so a float32 run and a
+    float64 run start from the same numbers."""
+    values = rng.standard_normal(shape) if low is None else rng.uniform(low, 2.0, shape)
+    return values.astype(np.float32).astype(np.float64)
+
+
+_rng = np.random.default_rng(11)
+LEAVES = {
+    "a": _representable(_rng, (4, 3)),
+    "a2": _representable(_rng, (4, 3)),
+    "a3": _representable(_rng, (4, 3)),
+    "b": _representable(_rng, (3, 5)),
+    "bias": _representable(_rng, (1, 3)),
+    "p": _representable(_rng, (4, 3), low=0.05),
+    "z": _representable(_rng, (5, 4)),
+    "src": _representable(_rng, (6, 3)),
+    "members": _representable(_rng, (7, 3)),
+}
+INDEX = np.array([1, 0, 1, 5, 1, 2, 0])
+LOGIT_ROWS = np.array([0, 2, 3])
+_y = (_rng.random((3, 4)) < 0.4).astype(np.float64)
+CONSTS = {
+    "row_scale": _representable(_rng, (6,), low=0.1),
+    "targets": _representable(_rng, (4, 3)),
+    "mask": (_rng.random((4, 3)) < 0.5).astype(np.float64),
+    "neg": 1.0 - _y,
+    "pos": 1.0 + 2.0 * _y,
+}
+RATE = 0.3
+
+
+def _sigmoid_ref(x):
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def _softplus_neg_ref(x):
+    return np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def _logistic_ref(x, k, u):
+    z = x[0][LOGIT_ROWS]
+    value = np.array([[(k["neg"] * z + k["pos"] * _softplus_neg_ref(z)).sum()]]) * 0.25
+    e = np.exp(-np.abs(z))
+    sig_neg = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+    grad = np.zeros(x[0].shape)
+    grad[LOGIT_ROWS] = (k["neg"] - k["pos"] * sig_neg) * (u[0, 0] * 0.25)
+    return value, [grad]
+
+
+def _square_error_ref(x, k, u):
+    d = x[0] - k["targets"]
+    sq = d * d
+    sq *= k["mask"]
+    t = k["mask"] * (u[0, 0] * 0.5)
+    t *= d
+    return np.array([[sq.sum()]]) * 0.5, [t + t]
+
+
+def _dropout_factor(shape):
+    return (np.random.default_rng(5).random(shape) >= RATE) / (1.0 - RATE)
+
+
+# op name: (leaf names, the op on leaf tensors and constants, the float64
+# reference: (leaf arrays, constants, upstream gradient) -> (value, leaf
+# gradients)).  The references spell out each op's float64 arithmetic.
+OPS = {
+    "matmul": (["a", "b"], lambda t, k: matmul(t[0], t[1]), lambda x, k, u: (x[0] @ x[1], [u @ x[1].T, x[0].T @ u])),
+    "add": (["a", "a2"], lambda t, k: add(t[0], t[1]), lambda x, k, u: (x[0] + x[1], [u, u])),
+    "sub": (["a", "a2"], lambda t, k: sub(t[0], t[1]), lambda x, k, u: (x[0] - x[1], [u, -u])),
+    "mul": (["a", "a2"], lambda t, k: mul(t[0], t[1]), lambda x, k, u: (x[0] * x[1], [u * x[1], u * x[0]])),
+    "scale": (["a"], lambda t, k: scale(t[0], 1.7), lambda x, k, u: (x[0] * 1.7, [u * 1.7])),
+    "add_bias": (["a", "bias"], lambda t, k: add_bias(t[0], t[1]),
+                 lambda x, k, u: (x[0] + x[1], [u, u.sum(axis=0, keepdims=True)])),
+    "relu": (["a"], lambda t, k: relu(t[0]), lambda x, k, u: (np.maximum(x[0], 0.0), [u * (x[0] > 0.0)])),
+    "sum_relu": (["a", "a2", "a3"], lambda t, k: ad.sum_relu(t),
+                 lambda x, k, u: (np.maximum(x[0] + x[1] + x[2], 0.0), [u * (x[0] + x[1] + x[2] > 0.0)] * 3)),
+    "sigmoid": (["a"], lambda t, k: sigmoid(t[0]),
+                lambda x, k, u: (_sigmoid_ref(x[0]), [u * _sigmoid_ref(x[0]) * (1.0 - _sigmoid_ref(x[0]))])),
+    "take_rows": (["src"], lambda t, k: take_rows(t[0], INDEX),
+                  lambda x, k, u: (x[0][INDEX], [scatter_add_oracle(INDEX, u, 6)])),
+    "scatter_rows": (["members"], lambda t, k: scatter_rows(t[0], INDEX, 6),
+                     lambda x, k, u: (scatter_add_oracle(INDEX, x[0], 6), [u[INDEX]])),
+    "scatter_rows_scaled": (
+        ["members"], lambda t, k: scatter_rows(t[0], INDEX, 6, k["row_scale"]),
+        lambda x, k, u: (scatter_add_oracle(INDEX, x[0], 6) * k["row_scale"][:, None],
+                         [(u * k["row_scale"][:, None])[INDEX]])),
+    "log": (["p"], lambda t, k: log(t[0]), lambda x, k, u: (np.log(x[0]), [u / x[0]])),
+    "tensor_sum": (["a"], lambda t, k: tensor_sum(t[0]),
+                   lambda x, k, u: (np.array([[x[0].sum()]]), [np.full(x[0].shape, u[0, 0])])),
+    "masked_square_error": (["a"], lambda t, k: ad.masked_square_error(t[0], k["targets"], k["mask"], 0.5),
+                            _square_error_ref),
+    "logistic_loss": (["z"], lambda t, k: ad.logistic_loss(t[0], LOGIT_ROWS, k["neg"], k["pos"], 0.25),
+                      _logistic_ref),
+    "dropout": (["a"], lambda t, k: dropout(t[0], RATE, True, np.random.default_rng(5)),
+                lambda x, k, u: (x[0] * _dropout_factor(x[0].shape), [u * _dropout_factor(x[0].shape)])),
+    "dropout_rows": (["a"], lambda t, k: dropout_rows(t[0], RATE, True, np.random.default_rng(5)),
+                     lambda x, k, u: (x[0] * _dropout_factor((4, 1)), [u * _dropout_factor((4, 1))])),
+}
+
+
+def _run_op(name, dtype):
+    """The op's value, its leaves' gradients and the upstream gradient it
+    received, with every float input in dtype."""
+    names, build, _ = OPS[name]
+    leaves = [Tensor(LEAVES[n].astype(dtype), requires_grad=True) for n in names]
+    consts = {k: v.astype(dtype) for k, v in CONSTS.items()}
+    with Tape() as tape:
+        out = build(leaves, consts)
+        upstream = np.random.default_rng(1).standard_normal(out.shape).astype(dtype)
+        loss = tensor_sum(mul(out, Tensor(upstream)))
+    tape.backward(loss)
+    return out.values, [t.grad for t in leaves], upstream, loss.values
+
+
+class TestDtypeFollowing:
+    """Every op computes in its inputs' dtype: float32 in, float32 out and
+    float32 leaf gradients close to the float64 ones; float64 in, the same
+    float64 arithmetic as the references bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_float32_inputs_give_float32_values_and_gradients(self, name):
+        values, grads, _, loss = _run_op(name, np.float32)
+        assert values.dtype == np.float32 and loss.dtype == np.float32
+        assert [g.dtype for g in grads] == [np.float32] * len(grads)
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_float32_gradients_match_float64_ones(self, name):
+        values32, grads32, _, _ = _run_op(name, np.float32)
+        values64, grads64, _, _ = _run_op(name, np.float64)
+        np.testing.assert_allclose(values32, values64, rtol=1e-4)
+        for got, want in zip(grads32, grads64):
+            np.testing.assert_allclose(got, want, rtol=1e-4)
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_float64_results_equal_the_reference_bit_for_bit(self, name):
+        names, _, reference = OPS[name]
+        values, grads, upstream, _ = _run_op(name, np.float64)
+        want_values, want_grads = reference([LEAVES[n] for n in names], CONSTS, upstream)
+        assert _bits(values) == _bits(want_values)
+        assert [_bits(g) for g in grads] == [_bits(g) for g in want_grads]
+
+    def test_backward_seed_takes_the_loss_dtype(self):
+        x = Tensor(np.ones((1, 1), np.float32), requires_grad=True)
+        with Tape() as tape:
+            loss = scale(x, 2.0)
+        tape.backward(loss)
+        assert x.grad.dtype == np.float32
+
+    @pytest.mark.parametrize("values", [[1, 2], np.array([True]), np.float16(3), np.ones(2, np.float64)])
+    def test_anything_but_a_float32_array_becomes_float64(self, values):
+        assert Tensor(values).values.dtype == np.float64

@@ -404,6 +404,18 @@ class TestMalformedCheckpoint:
         code, err = self._recommend(cohort_dir, path, capsys)
         assert code == 4 and "8 bytes after its last weight" in err
 
+    @pytest.mark.parametrize("dtype", ["<f2", "<f4", ">f8", "f8", 8, None])
+    def test_weight_dtype_other_than_f8_exits_4(self, cohort_dir, checkpoint, tmp_path, capsys, dtype):
+        # The weights are read as little-endian float64 whatever the header
+        # says, so any other label is refused rather than misread.
+        def edit(h):
+            return {k: v for k, v in h.items() if k != "dtype"} if dtype is None else {**h, "dtype": dtype}
+
+        path = tmp_path / "relabelled.ckpt"
+        path.write_bytes(_rewrite_checkpoint_header(checkpoint.read_bytes(), edit))
+        code, err = self._recommend(cohort_dir, path, capsys)
+        assert code == 4 and err.startswith("error: ") and "'dtype'" in err
+
     def test_truncated_weight_exits_4(self, cohort_dir, checkpoint, tmp_path, capsys):
         path = tmp_path / "short.ckpt"
         path.write_bytes(checkpoint.read_bytes()[:-8])

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -652,6 +653,27 @@ class TestSerialization:
         loaded = load_graph(path)
         np.testing.assert_array_equal(loaded.raw_el, g.raw_el)
         np.testing.assert_array_equal(loaded.lab_norm, g.lab_norm)
+
+
+    def test_load_reads_each_array_into_the_buffer_it_keeps(self, tmp_path):
+        # No staging bytes and no dtype copies: loading allocates little
+        # beyond what the graph retains, and writes back the same bytes.
+        g = generate_synthetic(SyntheticSpec(n_patients=200, n_encounters=300)).graph
+        path, again = tmp_path / "g.medgraph", tmp_path / "again.medgraph"
+        save_graph(g, path)
+        tracemalloc.start()
+        try:
+            loaded = load_graph(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = [getattr(loaded, name) for name in ("a_ep", "m_el", "a_em", "raw_el")]
+        for arr in arrays:
+            assert arr.flags.owndata and arr.flags.writeable and arr.flags.c_contiguous
+        assert [a.dtype for a in arrays] == [np.int64, np.bool_, np.float64, np.float64]
+        save_graph(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert peak - retained < sum(a.nbytes for a in arrays) / 2
 
 
 def _split_graph_file(path):

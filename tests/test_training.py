@@ -13,6 +13,7 @@ from medgcn.metrics import lrap, masked_mse
 from medgcn.model import Hyper, forward, init_model, make_view, model_to_bytes
 from medgcn.synthetic import SyntheticSpec, generate_synthetic
 from medgcn.training import (
+    TRAIN_DTYPE,
     ClassWeight,
     TrainConfig,
     active_parameters,
@@ -21,7 +22,9 @@ from medgcn.training import (
     loss_medication,
     medication_logit_loss,
     prepare_training_data,
+    to_train_dtype,
     train,
+    training_view,
 )
 
 from conftest import make_toy_graph
@@ -301,6 +304,10 @@ class TestPrepareTrainingData:
         assert int(data.val_edge_mask.sum()) == len(plan_lab.val)
 
 
+def _as_float64_bits(t):
+    return t.values.astype(np.float64).tobytes()
+
+
 def quick_config(**kw):
     base = dict(lam=1.0, lr=0.01, max_epochs=25, patience=25, seed=1)
     base.update(kw)
@@ -344,22 +351,33 @@ class TestTrainLoop:
         if report.stop_reason == "patience":
             assert report.epochs[-1].epoch == report.best_epoch + 4
 
+    # The idle head keeps its initialization as cast for training, bit for
+    # bit; the returned model holds it in float64.
     def test_medication_only_freezes_lab_head(self):
         g = make_toy_graph()
         config = quick_config(task_mode="medication")
         model, _ = train(g, *toy_plans(g), config, FAST)
-        fresh = init_model(g, FAST, config.seed)
-        np.testing.assert_array_equal(model.head_lab_w.values, fresh.head_lab_w.values)
-        np.testing.assert_array_equal(model.head_lab_b.values, fresh.head_lab_b.values)
+        fresh = to_train_dtype(init_model(g, FAST, config.seed))
+        assert _as_float64_bits(model.head_lab_w) == _as_float64_bits(fresh.head_lab_w)
+        assert _as_float64_bits(model.head_lab_b) == _as_float64_bits(fresh.head_lab_b)
         assert not np.array_equal(model.head_med_w.values, fresh.head_med_w.values)
 
     def test_lab_only_freezes_med_head(self):
         g = make_toy_graph()
         config = quick_config(task_mode="lab")
         model, report = train(g, *toy_plans(g), config, FAST)
-        fresh = init_model(g, FAST, config.seed)
-        np.testing.assert_array_equal(model.head_med_w.values, fresh.head_med_w.values)
+        fresh = to_train_dtype(init_model(g, FAST, config.seed))
+        assert _as_float64_bits(model.head_med_w) == _as_float64_bits(fresh.head_med_w)
         assert report.val_metric_name == "mse"
+
+    def test_trains_in_float32_and_returns_float64_weights(self):
+        # Checkpoints and inference compute in float64 on the float32
+        # values the epochs trained.
+        g = make_toy_graph()
+        model, _ = train(g, *toy_plans(g), quick_config(max_epochs=3, patience=3), FAST)
+        for t in model.parameters():
+            assert t.values.dtype == np.float64
+            assert _as_float64_bits(t) == t.values.astype(TRAIN_DTYPE).astype(np.float64).tobytes()
 
     def test_lambda_zero_equals_medication_mode(self):
         g1, g2 = make_toy_graph(), make_toy_graph()
@@ -475,8 +493,9 @@ def _small_graph():
 def test_post_step_log_matches_a_full_forward(task_mode, normalize):
     # With one epoch the returned model is the post-step model, so the
     # validation metric, read from a forward over the validation rows only,
-    # must match a full forward of it.  Both logged losses come from the
-    # epoch's training forward, reproduced here from the same seed.
+    # must match a full forward of it through the same training view and
+    # dtype.  Both logged losses come from the epoch's training forward,
+    # reproduced here from the same seed.
     graph = _small_graph()
     plan_med, plan_lab = toy_plans(graph)
     hyper = Hyper(hidden_dim=8, dropout=0.1, normalize_adjacency=normalize)
@@ -484,7 +503,8 @@ def test_post_step_log_matches_a_full_forward(task_mode, normalize):
     model, report = train(graph, plan_med, plan_lab, config, hyper)
     assert report.best_epoch == 1
     data = prepare_training_data(graph, plan_med, plan_lab)
-    p, v, _ = forward(model, data.view)
+    view = training_view(make_view(data.view, normalize))
+    p, v, _ = forward(to_train_dtype(model), view)
     (record,) = report.epochs
     if task_mode == "lab":
         val = masked_mse(v.values, data.lab_targets, data.val_edge_mask)
@@ -492,12 +512,11 @@ def test_post_step_log_matches_a_full_forward(task_mode, normalize):
         val = lrap(p.values[plan_med.val], data.full.a_em[plan_med.val])
     assert record.val_metric == pytest.approx(val, abs=1e-12)
 
-    view = make_view(data.view, normalize)
     rng = np.random.default_rng(config.seed)
-    z, v1, _ = forward(init_model(graph, hyper, config.seed), view, training=True, rng=rng)
-    med_loss = medication_logit_loss(data.view.a_em, data.class_weight.weight, plan_med.train)
+    z, v1, _ = forward(to_train_dtype(init_model(graph, hyper, config.seed)), view, training=True, rng=rng)
+    med_loss = medication_logit_loss(data.view.a_em.astype(TRAIN_DTYPE), data.class_weight.weight, plan_med.train)
     assert record.loss_med == med_loss(z).item()
-    assert record.loss_lab == loss_lab(v1, data.lab_targets, data.view.m_el).item()
+    assert record.loss_lab == loss_lab(v1, data.lab_targets.astype(TRAIN_DTYPE), data.view.m_el).item()
 
 
 def test_epoch_one_losses_agree_across_modes():
