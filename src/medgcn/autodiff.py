@@ -361,16 +361,37 @@ def sigmoid(a) -> Tensor:
 
 def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """out[k] = sum of values[i] over i with index[i] == k, for k < n, in
-    values' dtype.  Pass r adds the r-th row of every group at once, so each
-    group sums its rows from zero in order of i, as np.add.at does."""
-    out = np.zeros((n, values.shape[1]), values.dtype)
+    values' dtype, each group adding its rows in order of i as np.add.at does.
+
+    Pass r < depth adds the r-th row of every group at once; then each group
+    longer than depth adds the rest of its rows in one reduce over whole rows.
+    depth minimizes passes plus reduces, at most about 2 sqrt(len(index))
+    numpy calls however long the longest group (a patient's encounter count).
+    """
+    h = values.shape[1]
+    out = np.zeros((n, h), values.dtype)
     order = np.argsort(index, kind="stable")
     counts = np.bincount(index, minlength=n)
+    starts = np.cumsum(counts) - counts
+    longer = n - np.cumsum(np.bincount(counts, minlength=1))  # [d]: groups with more than d rows
+    depth = int(np.argmin(np.arange(longer.size) + longer))
     rank = np.empty_like(order)
-    rank[order] = np.arange(index.size) - (np.cumsum(counts) - counts)[index[order]]
+    rank[order] = np.arange(index.size) - starts[index[order]]
     by_rank = np.argsort(rank, kind="stable")
-    for rows in np.split(by_rank, np.cumsum(np.bincount(rank))[:-1]):
-        out[index[rows]] += values[rows]
+    ends = np.cumsum(np.bincount(rank, minlength=depth))[:depth]
+    for r, rows in enumerate(np.split(by_rank, ends)[:depth]):
+        if r:
+            out[index[rows]] += values[rows]
+        else:
+            out[index[rows]] = values[rows]
+    for k in np.flatnonzero(counts > depth):
+        run = np.concatenate((out[k : k + 1], values[order[starts[k] + depth : starts[k] + counts[k]]]))
+        # A reduce over axis 0 adds whole rows in order; one column alone
+        # would be summed pairwise, so it is accumulated instead.
+        out[k] = np.add.reduce(run, axis=0) if h > 1 else np.add.accumulate(run, axis=0)[-1]
+    # Summing from the first row instead of from +0.0 differs only in the
+    # sign of a zero sum; adding +0.0 gives np.add.at's.
+    out += 0.0
     return out
 
 

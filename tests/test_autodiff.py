@@ -5,6 +5,8 @@ arrays, independent of the tape machinery: for each leaf entry x_ij,
 df/dx_ij ~ (f(x+h) - f(x-h)) / 2h with h = 1e-5.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -183,12 +185,15 @@ class TestOpGradients:
 class TestScatterAdd:
     """take_rows backward and scatter_rows forward sum rows per group; the
     sums must equal np.add.at's bit for bit, whose adding order is fixed, in
-    float64 and in float32."""
+    float64 and in float32, for one column and for several."""
 
     CASES = [
         (np.array([1, 0, 1, 3, 1, 1, 0]), 5),  # repeated groups; groups 2 and 4 have no member
         (np.random.default_rng(0).integers(0, 4, 300), 4),  # long groups, where order shows
         (np.zeros(0, dtype=np.int64), 3),  # zero rows
+        # one long history among single rows: a pass, then one group's tail
+        (np.random.default_rng(3).permutation(np.r_[np.zeros(200, np.int64), np.arange(1, 151)]), 152),
+        (np.zeros(400, dtype=np.int64), 2),  # one group holds every row
     ]
 
     @staticmethod
@@ -199,18 +204,18 @@ class TestScatterAdd:
 
     @pytest.mark.parametrize("index, n", CASES)
     def test_scatter_rows_forward(self, index, n):
-        for dtype in (np.float64, np.float32):
-            values = self.spread(np.random.default_rng(1), (index.size, 6), dtype)
+        for dtype, width in itertools.product((np.float64, np.float32), (6, 1)):
+            values = self.spread(np.random.default_rng(1), (index.size, width), dtype)
             out = scatter_rows(values, index, n).values
-            assert out.shape == (n, 6) and out.dtype == dtype
+            assert out.shape == (n, width) and out.dtype == dtype
             assert out.tobytes() == scatter_add_oracle(index, values, n).tobytes()
 
     @pytest.mark.parametrize("index, n", CASES)
     def test_take_rows_backward(self, index, n):
-        for dtype in (np.float64, np.float32):
+        for dtype, width in itertools.product((np.float64, np.float32), (6, 1)):
             rng = np.random.default_rng(2)
-            b = Tensor(rng.standard_normal((n, 6)).astype(dtype), requires_grad=True)
-            upstream = self.spread(rng, (index.size, 6), dtype)
+            b = Tensor(rng.standard_normal((n, width)).astype(dtype), requires_grad=True)
+            upstream = self.spread(rng, (index.size, width), dtype)
             with Tape() as tape:
                 loss = tensor_sum(mul(take_rows(b, index), Tensor(upstream)))
             tape.backward(loss)
